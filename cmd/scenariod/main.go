@@ -9,8 +9,7 @@
 // Usage:
 //
 //	scenariod [-addr HOST:PORT] [-cache-dir DIR] [-workers N] [-queue-depth N]
-//	          [-measure-parallel N] [-no-ckpt-fork] [-no-family-batch]
-//	          [-addr-file PATH]
+//	          [-measure-parallel N] [-no-ckpt-fork] [-addr-file PATH]
 //
 // -addr defaults to 127.0.0.1:8344; :0 picks a free port. -addr-file
 // writes the bound address to PATH once listening (how scripts and CI
@@ -53,8 +52,7 @@ func realMain() int {
 		workers         = flag.Int("workers", 0, "execution pool workers (0: GOMAXPROCS)")
 		queueDepth      = flag.Int("queue-depth", 0, "admission queue bound (0: 4x workers)")
 		measureParallel = flag.Int("measure-parallel", 0, "fan-out inside one measure job (0: 1)")
-		noCkptFork      = flag.Bool("no-ckpt-fork", false, "disable warm-checkpoint forking")
-		noFamilyBatch   = flag.Bool("no-family-batch", false, "disable warmup-family batching")
+		noCkptFork      = flag.Bool("no-ckpt-fork", false, "disable warm-checkpoint forking (and with it warmup-family batching)")
 	)
 	flag.Parse()
 
@@ -71,9 +69,6 @@ func realMain() int {
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		MeasureParallel: *measureParallel,
-		// Family batching parks followers to wait for a checkpoint that,
-		// with forking off, will never exist — keep the two knobs tied.
-		NoFamilyBatching: *noFamilyBatch || *noCkptFork,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scenariod:", err)

@@ -7,19 +7,18 @@
 //	tcasim -workload synthetic|heap|matmul|kvstore|stringmatch|regexmatch|
 //	                 multitca|daestream|loopnest
 //	       [-mode L_T|NL_T|L_NT|NL_NT|baseline] [-core hp|lp|a72]
-//	       [workload flags...]
+//	       [-spec JSON]
 //
-// Examples:
+// -workload picks the kind's default configuration; -spec, a workload
+// spec in the scenariod wire schema, is decoded over it, so it names
+// only the fields to change. Examples:
 //
-//	tcasim -workload heap -mode L_T -heap-filler 20
-//	tcasim -workload matmul -mode NL_NT -matmul-n 64 -matmul-tile 4
+//	tcasim -workload heap -mode L_T -spec '{"heap":{"FillerPerCall":20}}'
+//	tcasim -workload matmul -mode NL_NT -spec '{"matmul":{"N":64,"Tile":4}}'
 //	tcasim -workload synthetic -mode baseline
-//	tcasim -workload kvstore -mode L_T -kv-ops 400
-//	tcasim -workload stringmatch -mode NL_T -str-comparisons 300
-//	tcasim -workload regexmatch -mode L_T -re-pattern '[ab]*abb'
-//	tcasim -workload multitca -mode L_T -mtca-calls 120
-//	tcasim -workload daestream -mode L_T -dae-words 64
-//	tcasim -workload loopnest -mode L_T -loop-trips 8 -loop-depth 2
+//	tcasim -workload kvstore -mode L_T -spec '{"kvstore":{"Operations":400}}'
+//	tcasim -workload regexmatch -mode L_T -spec '{"regexmatch":{"Pattern":"[ab]*abb"}}'
+//	tcasim -workload loopnest -mode L_T -spec '{"loopnest":{"Trips":8,"Depth":2}}'
 //
 // -dump-scenario prints the canonical scenario description and
 // content digest of the run the flags select — the identity the
@@ -27,9 +26,11 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/isa"
@@ -40,45 +41,13 @@ import (
 
 func main() {
 	var (
-		wl      = flag.String("workload", "synthetic", "workload: synthetic, heap, matmul, kvstore, stringmatch, regexmatch, multitca, daestream, loopnest")
-		mode    = flag.String("mode", "L_T", "TCA mode (L_T, NL_T, L_NT, NL_NT) or 'baseline'")
-		coreSel = flag.String("core", "hp", "core preset: hp, lp, a72")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		trace   = flag.Int("trace", 0, "render a pipeline diagram for the first N committed instructions")
-		noFF    = flag.Bool("no-fast-forward", false, "simulate every cycle instead of event-horizon skipping (results are identical; for debugging and A/B timing)")
-		dump    = flag.Bool("dump-scenario", false, "print the canonical scenario spec and digest for this run, then exit without simulating")
-
-		synUnits   = flag.Int("syn-units", 400, "synthetic: filler units")
-		synRegions = flag.Int("syn-regions", 40, "synthetic: acceleratable regions")
-		synLatency = flag.Int("syn-latency", 12, "synthetic: TCA latency")
-
-		heapOps    = flag.Int("heap-ops", 600, "heap: malloc/free operations")
-		heapFiller = flag.Int("heap-filler", 20, "heap: filler instructions per call")
-
-		matN    = flag.Int("matmul-n", 64, "matmul: matrix edge")
-		matBlk  = flag.Int("matmul-block", 32, "matmul: blocking factor")
-		matTile = flag.Int("matmul-tile", 4, "matmul: TCA tile (2, 4, 8)")
-
-		kvOps    = flag.Int("kv-ops", 400, "kvstore: insert/lookup operations")
-		kvFiller = flag.Int("kv-filler", 40, "kvstore: filler instructions per op")
-
-		strComparisons = flag.Int("str-comparisons", 300, "stringmatch: dictionary comparisons")
-		strFiller      = flag.Int("str-filler", 40, "stringmatch: filler instructions per comparison")
-
-		rePattern = flag.String("re-pattern", "[ab]*abb", "regexmatch: pattern to compile")
-		reMatches = flag.Int("re-matches", 300, "regexmatch: inputs matched")
-		reFiller  = flag.Int("re-filler", 40, "regexmatch: filler instructions per match")
-
-		mtcaCalls  = flag.Int("mtca-calls", 120, "multitca: accelerated calls across the GreenDroid function set")
-		mtcaFiller = flag.Int("mtca-filler", 200, "multitca: filler instructions per call")
-
-		daeStreams = flag.Int("dae-streams", 12, "daestream: reductions (one invocation each)")
-		daeWords   = flag.Int("dae-words", 32, "daestream: words per reduced array")
-		daeChunk   = flag.Int("dae-chunk", 8, "daestream: burst length in words (1..8)")
-
-		loopCalls = flag.Int("loop-calls", 12, "loopnest: nest executions (one invocation each)")
-		loopTrips = flag.Int("loop-trips", 8, "loopnest: trip count per nest level")
-		loopDepth = flag.Int("loop-depth", 2, "loopnest: nest depth")
+		wl       = flag.String("workload", "synthetic", "workload: "+strings.Join(workload.Kinds(), ", "))
+		specJSON = flag.String("spec", "", `workload spec JSON in the scenariod wire schema, decoded over the -workload default (e.g. '{"heap":{"Operations":1000}}')`)
+		mode     = flag.String("mode", "L_T", "TCA mode (L_T, NL_T, L_NT, NL_NT) or 'baseline'")
+		coreSel  = flag.String("core", "hp", "core preset: hp, lp, a72")
+		trace    = flag.Int("trace", 0, "render a pipeline diagram for the first N committed instructions")
+		noFF     = flag.Bool("no-fast-forward", false, "simulate every cycle instead of event-horizon skipping (results are identical; for debugging and A/B timing)")
+		dump     = flag.Bool("dump-scenario", false, "print the canonical scenario spec and digest for this run, then exit without simulating")
 	)
 	flag.Parse()
 
@@ -87,55 +56,18 @@ func main() {
 		fail(err)
 	}
 
-	var w *workload.Workload
-	switch *wl {
-	case "synthetic":
-		w, err = workload.Synthetic(workload.SyntheticConfig{
-			Units: *synUnits, UnitLen: 25, Regions: *synRegions, RegionLen: 60,
-			AccelLatency: *synLatency, Seed: *seed,
-		})
-	case "heap":
-		w, err = workload.Heap(workload.HeapConfig{
-			Operations: *heapOps, FillerPerCall: *heapFiller, Prefill: 512, Seed: *seed,
-		})
-	case "matmul":
-		w, err = workload.MatMul(workload.MatMulConfig{
-			N: *matN, Block: *matBlk, Tile: *matTile, Seed: *seed,
-		})
-	case "kvstore":
-		w, err = workload.KVStore(workload.KVStoreConfig{
-			Operations: *kvOps, FillerPerOp: *kvFiller,
-			Buckets: 256, Keys: 128, LookupPct: 70, KeyWords: 4, Seed: *seed,
-		})
-	case "stringmatch":
-		w, err = workload.StringMatch(workload.StringMatchConfig{
-			Comparisons: *strComparisons, FillerPerOp: *strFiller,
-			Dictionary: 32, MinWords: 4, MaxWords: 24, SharedPrefix: 3, Seed: *seed,
-		})
-	case "regexmatch":
-		w, err = workload.RegexMatch(workload.RegexMatchConfig{
-			Pattern: *rePattern, Matches: *reMatches, FillerPerOp: *reFiller,
-			Inputs: 32, MaxLen: 28, Seed: *seed,
-		})
-	case "multitca":
-		mcfg := workload.DefaultMultiTCA()
-		mcfg.Calls = *mtcaCalls
-		mcfg.FillerPerCall = *mtcaFiller
-		mcfg.Seed = *seed
-		w, err = workload.MultiTCA(mcfg)
-	case "daestream":
-		w, err = workload.DAEStream(workload.DAEStreamConfig{
-			Streams: *daeStreams, WordsPerStream: *daeWords, FillerPerOp: 30,
-			ChunkWords: *daeChunk, ComputePerChunk: 4, Startup: 40, Seed: *seed,
-		})
-	case "loopnest":
-		w, err = workload.LoopNest(workload.LoopNestConfig{
-			Calls: *loopCalls, FillerPerOp: 25, Trips: *loopTrips, Depth: *loopDepth,
-			IterLatency: 1, ConfigLatency: 20, Seed: *seed,
-		})
-	default:
-		err = fmt.Errorf("unknown workload %q", *wl)
+	ws, err := workload.DefaultSpec(*wl)
+	if err != nil {
+		fail(err)
 	}
+	if *specJSON != "" {
+		dec := json.NewDecoder(strings.NewReader(*specJSON))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ws); err != nil {
+			fail(fmt.Errorf("-spec: %w", err))
+		}
+	}
+	w, err := ws.Build()
 	if err != nil {
 		fail(err)
 	}

@@ -54,7 +54,7 @@ func TestRegistryBrokenModule(t *testing.T) {
 	want := wantDiags(t, filepath.Join(dir, "internal", "accel", "devices.go"))
 	compareDiags(t, want, diags)
 	if len(diags) == 1 {
-		for _, frag := range []string{"Gamma", "SnapshotState/RestoreState", "cmd/tcasim registration"} {
+		for _, frag := range []string{"Gamma", "SnapshotState/RestoreState", "workload.Spec.Build"} {
 			if !strings.Contains(diags[0].Message, frag) {
 				t.Errorf("diagnostic %q missing %q", diags[0].Message, frag)
 			}
@@ -82,29 +82,24 @@ func TestRegistrySurfaceDeletion(t *testing.T) {
 			want:   "SnapshotState/RestoreState pair",
 		},
 		{
+			// Spec.Build sits in the same package and reaches Beta's
+			// keyed constructor; only Alpha's own constructor decides.
 			name:   "device-key",
 			tags:   []string{"alpha-key"},
 			family: "Alpha",
 			want:   "canonical DeviceKey",
 		},
 		{
-			name:   "serve-wire-kind",
-			tags:   []string{"alpha-serve"},
+			name:   "registry-entry",
+			tags:   []string{"alpha-registry"},
 			family: "Alpha",
-			want:   "serve wire kind",
+			want:   "workload.Spec.Build",
 		},
 		{
-			name:   "tcasim-registration",
-			tags:   []string{"alpha-tcasim"},
-			family: "Alpha",
-			want:   "cmd/tcasim registration",
-		},
-		{
-			// Deleting the constructor orphans its callers too, so the
-			// serve and tcasim references go with it; the constructor
-			// gap is what the message must name.
+			// Deleting the constructor orphans its registry case too;
+			// the constructor gap is what the message must name.
 			name:   "workload-constructor",
-			tags:   []string{"alpha-workload", "alpha-serve", "alpha-tcasim"},
+			tags:   []string{"alpha-workload", "alpha-registry"},
 			family: "Alpha",
 			want:   "workload constructor",
 		},

@@ -8,20 +8,21 @@ import (
 // ruleRegistry (R13) is the machine-checked integration contract for
 // device families: a family declared in internal/accel must statically
 // appear in every surface the rest of the system wires devices through.
-// PR 9's device-engine layer made "add a device" a multi-file checklist
+// The device-engine layer made "add a device" a multi-file checklist
 // (DESIGN.md); this rule replaces the reviewer's copy of that checklist
-// so the next family (the SNAX-style programmable streamer on the
-// roadmap) cannot land half-wired. The surfaces:
+// so the next family cannot land half-wired. The surfaces:
 //
 //   - a SnapshotState/RestoreState pair, so the checkpoint codec can
 //     round-trip the device (always checkable: the methods live on the
 //     family type itself);
 //   - an exported internal/workload constructor that reaches the family
 //     and stamps a canonical DeviceKey — the identity the scenario
-//     store caches under;
-//   - the serve wire format (internal/serve reaches the family through
-//     WorkloadSpec.Build), so scenariod clients can request it;
-//   - a cmd/tcasim registration, so the CLI can run it;
+//     store caches under. Only package-level functions count: the
+//     registry's Spec.Build reaches every family, so it would vouch
+//     for a constructor that forgot its key;
+//   - an entry in the workload registry (workload.Spec.Build reaches
+//     the family), which is how scenariod and cmd/tcasim build every
+//     workload;
 //   - for engine families only (Invoke trees that build isa.AccelPhase
 //     schedules): an internal/experiments sweep that pairs the family
 //     with staticmodel's EngineOccupancy term, keeping the analytical
@@ -36,7 +37,7 @@ import (
 var ruleRegistry = &Rule{
 	ID:   "R13",
 	Name: "device-registry-consistency",
-	Doc:  "a device family must appear in every integration surface: snapshot pair, workload DeviceKey, serve wire kind, tcasim registration, and (engines) a staticmodel EngineOccupancy sweep",
+	Doc:  "a device family must appear in every integration surface: snapshot pair, workload DeviceKey, workload.Spec.Build registry entry, and (engines) a staticmodel EngineOccupancy sweep",
 	Applies: func(rel string) bool {
 		return rel == "internal/accel"
 	},
@@ -45,6 +46,11 @@ var ruleRegistry = &Rule{
 
 func checkRegistry(pass *Pass) {
 	ix := pass.Idx
+	wp := ix.byRel["internal/workload"]
+	var build *funcInfo
+	if wp != nil {
+		build = ix.funcOf(registryBuild(wp))
+	}
 	for _, named := range ix.familiesIn(pass.Pkg) {
 		var missing []string
 
@@ -52,10 +58,11 @@ func checkRegistry(pass *Pass) {
 			missing = append(missing, "a SnapshotState/RestoreState pair for the checkpoint codec")
 		}
 
-		if wp := ix.byRel["internal/workload"]; wp != nil {
+		if wp != nil {
 			var anchors []*funcInfo
 			for _, fi := range ix.funcsIn(wp) {
-				if fi.fn.Exported() && fi.sum.families[named] {
+				// Package-level functions only: Spec.Build reaches every family.
+				if fi.fn.Exported() && fi.decl.Recv == nil && fi.sum.families[named] {
 					anchors = append(anchors, fi)
 				}
 			}
@@ -73,14 +80,9 @@ func checkRegistry(pass *Pass) {
 					missing = append(missing, "a canonical DeviceKey stamped by its workload constructor")
 				}
 			}
-		}
-
-		if servePkgs := ix.pkgsUnder("internal/serve"); len(servePkgs) > 0 && !anyFuncReaches(ix, servePkgs, named) {
-			missing = append(missing, "a serve wire kind (internal/serve must reach the family)")
-		}
-
-		if tp := ix.byRel["cmd/tcasim"]; tp != nil && !anyFuncReaches(ix, []*Package{tp}, named) {
-			missing = append(missing, "a cmd/tcasim registration")
+			if build == nil || !build.sum.families[named] {
+				missing = append(missing, "a registry entry (workload.Spec.Build must reach the family)")
+			}
 		}
 
 		// Engine families build phased schedules; their occupancy shape
@@ -109,29 +111,16 @@ func checkRegistry(pass *Pass) {
 	}
 }
 
-// pkgsUnder returns the universe packages at or beneath the given
-// module-relative prefix, in deterministic (path-sorted) order.
-func (ix *Index) pkgsUnder(prefix string) []*Package {
-	var out []*Package
-	for _, pkg := range ix.pkgs {
-		if underAny(pkg.Rel, prefix) {
-			out = append(out, pkg)
-		}
+// registryBuild returns the workload registry's Spec.Build method, or
+// nil when the package declares no registry.
+func registryBuild(pkg *Package) *types.Func {
+	tn, ok := pkg.Types.Scope().Lookup("Spec").(*types.TypeName)
+	if !ok {
+		return nil
 	}
-	return out
-}
-
-// anyFuncReaches reports whether any function declared in the given
-// packages transitively references the family.
-func anyFuncReaches(ix *Index, pkgs []*Package, named *types.Named) bool {
-	for _, pkg := range pkgs {
-		for _, fi := range ix.funcsIn(pkg) {
-			if fi.sum.families[named] {
-				return true
-			}
-		}
-	}
-	return false
+	obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg.Types, "Build")
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // hasMethod reports whether the named type (or its pointer) declares or

@@ -1,5 +1,6 @@
-// Package workload pairs each device family with a canonical identity,
-// mirroring the real module's constructor surface.
+// Package workload pairs each device family with a canonical identity
+// and registers it in Spec.Build, mirroring the real module's
+// constructor and registry surfaces.
 package workload
 
 import (
@@ -36,4 +37,23 @@ func Beta(chunk int) *Workload {
 		DeviceKey: keyBeta(chunk),
 		NewDevice: func() isa.AccelDevice { return accel.NewBeta(chunk) },
 	}
+}
+
+// Spec is the registry: Kind selects a workload family by name, the way
+// scenariod clients and the CLI request devices.
+type Spec struct {
+	Kind  string
+	Lat   uint64
+	Chunk int
+}
+
+// Build constructs the named workload.
+func (s Spec) Build() (*Workload, error) {
+	switch s.Kind {
+	case "alpha":
+		return Alpha(s.Lat), nil // r13drop:alpha-registry
+	case "beta":
+		return Beta(s.Chunk), nil
+	}
+	return nil, fmt.Errorf("workload: unknown kind %q", s.Kind)
 }

@@ -1,7 +1,7 @@
 // Package accel declares a half-wired device family: Gamma has a
-// workload constructor with a DeviceKey and a serve wire kind, but is
-// missing its RestoreState (so the snapshot pair is incomplete) and is
-// never registered in cmd/tcasim. R13 must report both gaps in one
+// workload constructor with a DeviceKey, but is missing its
+// RestoreState (so the snapshot pair is incomplete) and is never
+// registered in workload.Spec.Build. R13 must report both gaps in one
 // diagnostic anchored at the type declaration.
 package accel
 

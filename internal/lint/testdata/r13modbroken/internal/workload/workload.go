@@ -1,6 +1,6 @@
 // Package workload gives Gamma its constructor and canonical key —
-// these two surfaces are wired; the snapshot pair and the tcasim
-// registration are not.
+// these two surfaces are wired; the snapshot pair and the registry
+// entry in Spec.Build are not.
 package workload
 
 import (
@@ -24,4 +24,14 @@ func Gamma(lat uint64) *Workload {
 		DeviceKey: fmt.Sprintf("gamma:lat=%d", lat),
 		NewDevice: func() isa.AccelDevice { return accel.NewGamma(lat) },
 	}
+}
+
+// Spec is the registry; Gamma is missing from it.
+type Spec struct {
+	Kind string
+}
+
+// Build constructs the named workload.
+func (s Spec) Build() (*Workload, error) {
+	return nil, fmt.Errorf("workload: unknown kind %q", s.Kind)
 }

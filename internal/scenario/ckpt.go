@@ -44,13 +44,14 @@ func (sp Spec) warmupDigest() Digest {
 }
 
 // WarmupFamily returns the digest grouping specs that share a warm
-// checkpoint, and whether the spec participates in forking at all
-// (cacheable and statically forkable). scenariod's scheduler uses it to
-// batch compatible jobs: parking the rest of a family until its first
-// member has produced the shared checkpoint keeps a burst of identical
-// sweeps from pinning every worker on one singleflighted warmup.
-func (sp Spec) WarmupFamily() (Digest, bool) {
-	if !sp.Cacheable() || !sp.forkable() {
+// checkpoint in this store, and whether the spec participates in
+// forking at all (forking enabled, spec cacheable and statically
+// forkable). scenariod's scheduler uses it to batch compatible jobs:
+// parking the rest of a family until its first member has produced the
+// shared checkpoint keeps a burst of identical sweeps from pinning
+// every worker on one singleflighted warmup.
+func (s *Store) WarmupFamily(sp Spec) (Digest, bool) {
+	if s == nil || s.noCkptFork || !sp.Cacheable() || !sp.forkable() {
 		return Digest{}, false
 	}
 	return sp.warmupDigest(), true

@@ -3,9 +3,10 @@ package scenario
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/staticmodel"
 )
 
 // TestShardedBlobLayout: new blobs land under the two-hex-digit shard
@@ -28,123 +29,80 @@ func TestShardedBlobLayout(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatBlobReadThrough is the migration test: a cache
-// directory written by a pre-shard revision (blobs flat in the root)
-// keeps serving disk hits after the layout upgrade — no invalidation,
-// no re-simulation.
-func TestLegacyFlatBlobReadThrough(t *testing.T) {
-	dir := t.TempDir()
-	writer := newTestStore(t, dir)
-	spec := baselineSpec(t)
-	want, err := writer.RunStats(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Demote the blob to the legacy flat location, emptying the shard —
-	// the directory now looks exactly like a pre-shard cache.
-	h := spec.Digest().String()
-	sharded := filepath.Join(dir, h[:2], "run-"+h+".json")
-	flat := filepath.Join(dir, "run-"+h+".json")
-	if err := os.Rename(sharded, flat); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, h[:2])); err != nil {
-		t.Fatal(err)
-	}
-
-	reader := newTestStore(t, dir)
-	got, err := reader.RunStats(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("legacy-layout disk hit returned different stats")
-	}
-	m := reader.Metrics()
-	if m.RunDiskHits != 1 || m.RunMisses != 0 {
-		t.Errorf("metrics %+v: want 1 disk hit, 0 misses", m)
-	}
-}
-
-// TestShardedAndLegacyPreferSharded: when both locations exist, the
-// sharded blob wins (it is the one current revisions write and
-// refresh).
-func TestShardedAndLegacyPreferSharded(t *testing.T) {
-	dir := t.TempDir()
-	writer := newTestStore(t, dir)
-	spec := baselineSpec(t)
-	if _, err := writer.RunStats(spec); err != nil {
-		t.Fatal(err)
-	}
-	h := spec.Digest().String()
-	sharded := filepath.Join(dir, h[:2], "run-"+h+".json")
-	flat := filepath.Join(dir, "run-"+h+".json")
-	// Plant a corrupt legacy blob; only the legacy path would fail.
-	if err := os.WriteFile(flat, []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sharded); err != nil {
-		t.Fatal(err)
-	}
-	reader := newTestStore(t, dir)
-	if _, err := reader.RunStats(spec); err != nil {
-		t.Fatal(err)
-	}
-	if m := reader.Metrics(); m.RunDiskHits != 1 {
-		t.Errorf("metrics %+v: want the sharded blob to serve the disk hit", m)
-	}
-}
-
-// TestCoalescedCounterClassification pins the hit/coalesced split
-// deterministically: a request that joins an in-flight execution is
-// coalesced; a request arriving after completion is a memory hit.
+// TestCoalescedCounterClassification pins the hit/coalesced split that
+// every cache level shares: a request that joins an in-flight execution
+// is coalesced; a request arriving after completion is a memory hit.
 func TestCoalescedCounterClassification(t *testing.T) {
-	s := newTestStore(t, "")
-	spec := accelSpec(t)
+	run, measure := accelSpec(t), staticTestSpec(t)
+	levels := []struct {
+		name    string
+		request func(s *Store) error
+		// counts picks the level's (hits, coalesced, misses) counters.
+		counts func(m Metrics) (int64, int64, int64)
+	}{
+		{
+			"run",
+			func(s *Store) error { _, err := s.RunStats(run); return err },
+			func(m Metrics) (int64, int64, int64) { return m.RunHits, m.RunCoalesced, m.RunMisses },
+		},
+		{
+			"measure",
+			func(s *Store) error {
+				_, err := s.Measure(measure, func() (MeasureRecord, error) { return MeasureRecord{}, nil })
+				return err
+			},
+			func(m Metrics) (int64, int64, int64) { return m.MeasureHits, m.MeasureCoalesced, m.MeasureMisses },
+		},
+		{
+			"static",
+			func(s *Store) error {
+				_, err := s.StaticPrediction(measure, func() (*staticmodel.Prediction, error) {
+					return staticTestPrediction(), nil
+				})
+				return err
+			},
+			func(m Metrics) (int64, int64, int64) { return m.StaticHits, m.StaticCoalesced, m.StaticMisses },
+		},
+	}
+	for _, lv := range levels {
+		t.Run(lv.name, func(t *testing.T) {
+			s := newTestStore(t, "")
 
-	// Two concurrent requests for one spec: whichever the scheduler
-	// favors executes (the miss); the other is served without executing
-	// — coalesced if it joined mid-flight, a memory hit if it arrived
-	// after. The split is scheduling-dependent, the sum is not.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.RunStats(spec); err != nil {
-				t.Error(err)
+			// Two concurrent requests for one spec: whichever the
+			// scheduler favors executes (the miss); the other is served
+			// without executing — coalesced if it joined mid-flight, a
+			// memory hit if it arrived after. The split is
+			// scheduling-dependent, the sum is not.
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := lv.request(s); err != nil {
+						t.Error(err)
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
+			wg.Wait()
+			hits, coalesced, misses := lv.counts(s.Metrics())
+			if misses != 1 {
+				t.Fatalf("misses %d, want 1", misses)
+			}
+			if hits+coalesced != 1 {
+				t.Fatalf("hits %d + coalesced %d, want exactly 1 duplicate served", hits, coalesced)
+			}
 
-	m := s.Metrics()
-	if m.RunMisses != 1 {
-		t.Fatalf("misses %d, want 1", m.RunMisses)
-	}
-	if m.RunHits+m.RunCoalesced != 1 {
-		t.Fatalf("hits %d + coalesced %d, want exactly 1 duplicate served", m.RunHits, m.RunCoalesced)
-	}
-
-	// A third request after everything settled is unambiguous: memory
-	// hit, never coalesced.
-	before := s.Metrics()
-	if _, err := s.RunStats(spec); err != nil {
-		t.Fatal(err)
-	}
-	d := s.Metrics().Sub(before)
-	if d.RunHits != 1 || d.RunCoalesced != 0 || d.RunMisses != 0 {
-		t.Errorf("settled duplicate: delta %+v, want one memory hit", d)
-	}
-}
-
-// TestMetricsSub: phase deltas subtract counter-wise.
-func TestMetricsSub(t *testing.T) {
-	a := Metrics{RunHits: 5, RunMisses: 2, CkptForks: 3, BytesWritten: 100}
-	b := Metrics{RunHits: 9, RunMisses: 2, CkptForks: 4, BytesWritten: 250}
-	d := b.Sub(a)
-	if d.RunHits != 4 || d.RunMisses != 0 || d.CkptForks != 1 || d.BytesWritten != 150 {
-		t.Errorf("Sub: %+v", d)
+			// A third request after everything settled is unambiguous:
+			// memory hit, never coalesced.
+			before := s.Metrics()
+			if err := lv.request(s); err != nil {
+				t.Fatal(err)
+			}
+			hits, coalesced, misses = lv.counts(s.Metrics().Sub(before))
+			if hits != 1 || coalesced != 0 || misses != 0 {
+				t.Errorf("settled duplicate: %d hits / %d coalesced / %d misses, want one memory hit",
+					hits, coalesced, misses)
+			}
+		})
 	}
 }

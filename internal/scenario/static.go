@@ -1,19 +1,6 @@
 package scenario
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/staticmodel"
-)
-
-// staticEntry singleflights one static-model prediction.
-type staticEntry struct {
-	once sync.Once
-	done atomic.Bool
-	pred *staticmodel.Prediction
-	err  error
-}
+import "repro/internal/staticmodel"
 
 // StaticPrediction returns the cached static-model prediction for the
 // measure spec — the same content address that keys the spec's full
@@ -29,35 +16,9 @@ func (s *Store) StaticPrediction(spec MeasureSpec, compute func() (*staticmodel.
 		return compute()
 	}
 	if !spec.Cacheable() {
-		s.staticUncacheable.Add(1)
+		s.statics.uncacheable.Add(1)
 		return compute()
 	}
-	d := spec.Digest()
-	s.mu.Lock()
-	if s.statics == nil {
-		s.statics = make(map[Digest]*staticEntry)
-	}
-	e, ok := s.statics[d]
-	if !ok {
-		e = &staticEntry{}
-		s.statics[d] = e
-	}
-	s.mu.Unlock()
-
-	joined := ok && !e.done.Load()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		s.staticMisses.Add(1)
-		e.pred, e.err = compute()
-	})
-	e.done.Store(true)
-	if !ran {
-		if joined {
-			s.staticCoalesced.Add(1)
-		} else {
-			s.staticHits.Add(1)
-		}
-	}
-	return e.pred.Clone(), e.err
+	pred, err := s.statics.get(spec.Digest(), nil, compute, nil)
+	return pred.Clone(), err
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sim"
+	"repro/internal/staticmodel"
 )
 
 // Store is a concurrency-safe, content-addressed cache of simulation
@@ -32,44 +33,84 @@ type Store struct {
 	dir        string
 	noCkptFork bool
 
-	mu       sync.Mutex
-	runs     map[Digest]*runEntry
-	measures map[Digest]*measureEntry
-	ckpts    map[Digest]*ckptEntry
+	runs     level[sim.Stats]
+	measures level[MeasureRecord]
+	// ckpts singleflights each warmup family's shared checkpoint. The
+	// value stays nil when the family is unforkable (negative-cached:
+	// the warmup probe runs once, later members skip straight to direct
+	// runs).
+	ckpts level[*sim.Checkpoint]
 	// statics caches static-model predictions by the same MeasureSpec
-	// digest in its own namespace (see static.go); lazily allocated so
-	// stores that never predict pay nothing.
-	statics map[Digest]*staticEntry
+	// digest in its own namespace (see static.go).
+	statics level[*staticmodel.Prediction]
 
-	// Counters are atomics so Metrics can snapshot without the map
-	// lock.
-	runHits, runMisses, runDiskHits, runUncacheable, runCoalesced      atomic.Int64
-	measHits, measMisses, measDiskHits, measUncacheable, measCoalesced atomic.Int64
-	ckptForks, ckptWarmups, ckptDiskHits                               atomic.Int64
-	staticHits, staticMisses, staticUncacheable, staticCoalesced       atomic.Int64
-	bytesRead, bytesWritten                                            atomic.Int64
+	// Counters are atomics so Metrics can snapshot without a lock.
+	ckptForks, bytesRead, bytesWritten atomic.Int64
 }
 
-type runEntry struct {
-	once  sync.Once
-	done  atomic.Bool
-	stats sim.Stats
-	err   error
+// level is one singleflighted cache namespace: results by digest, plus
+// the counters every namespace reports.
+type level[T any] struct {
+	mu      sync.Mutex
+	entries map[Digest]*entry[T]
+
+	hits, misses, diskHits, coalesced, uncacheable atomic.Int64
 }
 
-type measureEntry struct {
+type entry[T any] struct {
 	once sync.Once
 	done atomic.Bool
-	rec  MeasureRecord
+	val  T
 	err  error
 }
 
-// ckptEntry singleflights one warmup family's shared checkpoint. ck
-// stays nil when the family is unforkable (negative-cached: the warmup
-// probe runs once, later members skip straight to direct runs).
-type ckptEntry struct {
-	once sync.Once
-	ck   *sim.Checkpoint
+// get returns the result cached under d, producing it once: from load
+// (a disk hit) when it has the blob, else from compute (a miss), whose
+// successful result goes to save. load and save are nil on a
+// memory-only level.
+func (l *level[T]) get(d Digest, load func() (T, bool), compute func() (T, error), save func(T)) (T, error) {
+	l.mu.Lock()
+	if l.entries == nil {
+		l.entries = make(map[Digest]*entry[T])
+	}
+	e, ok := l.entries[d]
+	if !ok {
+		e = &entry[T]{}
+		l.entries[d] = e
+	}
+	l.mu.Unlock()
+
+	// A pre-existing entry that has not completed means this caller is
+	// about to block on someone else's in-flight execution — that is a
+	// coalesced request, not a plain memory hit. Sampled before the
+	// once.Do so the classification reflects what the caller actually
+	// waited on.
+	joined := ok && !e.done.Load()
+	ran := false
+	e.once.Do(func() {
+		ran = true
+		if load != nil {
+			if v, ok := load(); ok {
+				e.val = v
+				l.diskHits.Add(1)
+				return
+			}
+		}
+		l.misses.Add(1)
+		e.val, e.err = compute()
+		if e.err == nil && save != nil {
+			save(e.val)
+		}
+	})
+	e.done.Store(true)
+	if !ran {
+		if joined {
+			l.coalesced.Add(1)
+		} else {
+			l.hits.Add(1)
+		}
+	}
+	return e.val, e.err
 }
 
 // NewStore returns a store. dir == "" keeps the cache in memory only;
@@ -80,12 +121,7 @@ func NewStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("scenario: cache dir: %w", err)
 		}
 	}
-	return &Store{
-		dir:      dir,
-		runs:     make(map[Digest]*runEntry),
-		measures: make(map[Digest]*measureEntry),
-		ckpts:    make(map[Digest]*ckptEntry),
-	}, nil
+	return &Store{dir: dir}, nil
 }
 
 // DisableCheckpointForking makes every cache miss execute its full
@@ -106,47 +142,15 @@ func (s *Store) RunStats(spec Spec) (sim.Stats, error) {
 		return spec.run()
 	}
 	if !spec.Cacheable() {
-		s.runUncacheable.Add(1)
+		s.runs.uncacheable.Add(1)
 		return spec.run()
 	}
 	d := spec.Digest()
-	s.mu.Lock()
-	e, ok := s.runs[d]
-	if !ok {
-		e = &runEntry{}
-		s.runs[d] = e
-	}
-	s.mu.Unlock()
-
-	// A pre-existing entry that has not completed means this caller is
-	// about to block on someone else's in-flight execution — that is a
-	// coalesced request, not a plain memory hit. Sampled before the
-	// once.Do so the classification reflects what the caller actually
-	// waited on.
-	joined := ok && !e.done.Load()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		if st, ok := s.loadRunBlob(d); ok {
-			e.stats = st
-			s.runDiskHits.Add(1)
-			return
-		}
-		s.runMisses.Add(1)
-		e.stats, e.err = s.computeRun(spec)
-		if e.err == nil {
-			s.saveRunBlob(d, e.stats)
-		}
-	})
-	e.done.Store(true)
-	if !ran {
-		if joined {
-			s.runCoalesced.Add(1)
-		} else {
-			s.runHits.Add(1)
-		}
-	}
-	return cloneStats(e.stats), e.err
+	st, err := s.runs.get(d,
+		func() (sim.Stats, bool) { return s.loadRunBlob(d) },
+		func() (sim.Stats, error) { return s.computeRun(spec) },
+		func(st sim.Stats) { s.saveRunBlob(d, st) })
+	return cloneStats(st), err
 }
 
 // Measure returns the cached MeasureRecord for the spec, or computes
@@ -158,42 +162,15 @@ func (s *Store) Measure(spec MeasureSpec, compute func() (MeasureRecord, error))
 		return compute()
 	}
 	if !spec.Cacheable() {
-		s.measUncacheable.Add(1)
+		s.measures.uncacheable.Add(1)
 		return compute()
 	}
 	d := spec.Digest()
-	s.mu.Lock()
-	e, ok := s.measures[d]
-	if !ok {
-		e = &measureEntry{}
-		s.measures[d] = e
-	}
-	s.mu.Unlock()
-
-	joined := ok && !e.done.Load()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		if rec, ok := s.loadMeasureBlob(d); ok {
-			e.rec = rec
-			s.measDiskHits.Add(1)
-			return
-		}
-		s.measMisses.Add(1)
-		e.rec, e.err = compute()
-		if e.err == nil {
-			s.saveMeasureBlob(d, e.rec)
-		}
-	})
-	e.done.Store(true)
-	if !ran {
-		if joined {
-			s.measCoalesced.Add(1)
-		} else {
-			s.measHits.Add(1)
-		}
-	}
-	return e.rec.Clone(), e.err
+	rec, err := s.measures.get(d,
+		func() (MeasureRecord, bool) { return s.loadMeasureBlob(d) },
+		compute,
+		func(rec MeasureRecord) { s.saveMeasureBlob(d, rec) })
+	return rec.Clone(), err
 }
 
 // computeRun executes a cache-missed spec: through the warm-checkpoint
@@ -220,26 +197,15 @@ func (s *Store) warmCheckpoint(spec Spec) *sim.Checkpoint {
 		return nil
 	}
 	d := spec.warmupDigest()
-	s.mu.Lock()
-	e, ok := s.ckpts[d]
-	if !ok {
-		e = &ckptEntry{}
-		s.ckpts[d] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		if ck, ok := s.loadCkptBlob(d); ok {
-			e.ck = ck
-			s.ckptDiskHits.Add(1)
-			return
-		}
-		s.ckptWarmups.Add(1)
-		e.ck = spec.warmup()
-		if e.ck != nil {
-			s.saveCkptBlob(d, e.ck)
-		}
-	})
-	return e.ck
+	ck, _ := s.ckpts.get(d,
+		func() (*sim.Checkpoint, bool) { return s.loadCkptBlob(d) },
+		func() (*sim.Checkpoint, error) { return spec.warmup(), nil },
+		func(ck *sim.Checkpoint) {
+			if ck != nil {
+				s.saveCkptBlob(d, ck)
+			}
+		})
+	return ck
 }
 
 // cloneStats deep-copies a Stats so cached canonical copies are never
@@ -281,23 +247,23 @@ func (s *Store) Metrics() Metrics {
 		return Metrics{}
 	}
 	return Metrics{
-		RunHits:            s.runHits.Load(),
-		RunMisses:          s.runMisses.Load(),
-		RunDiskHits:        s.runDiskHits.Load(),
-		RunUncacheable:     s.runUncacheable.Load(),
-		RunCoalesced:       s.runCoalesced.Load(),
-		MeasureHits:        s.measHits.Load(),
-		MeasureMisses:      s.measMisses.Load(),
-		MeasureDiskHits:    s.measDiskHits.Load(),
-		MeasureUncacheable: s.measUncacheable.Load(),
-		MeasureCoalesced:   s.measCoalesced.Load(),
+		RunHits:            s.runs.hits.Load(),
+		RunMisses:          s.runs.misses.Load(),
+		RunDiskHits:        s.runs.diskHits.Load(),
+		RunUncacheable:     s.runs.uncacheable.Load(),
+		RunCoalesced:       s.runs.coalesced.Load(),
+		MeasureHits:        s.measures.hits.Load(),
+		MeasureMisses:      s.measures.misses.Load(),
+		MeasureDiskHits:    s.measures.diskHits.Load(),
+		MeasureUncacheable: s.measures.uncacheable.Load(),
+		MeasureCoalesced:   s.measures.coalesced.Load(),
 		CkptForks:          s.ckptForks.Load(),
-		CkptWarmups:        s.ckptWarmups.Load(),
-		CkptDiskHits:       s.ckptDiskHits.Load(),
-		StaticHits:         s.staticHits.Load(),
-		StaticMisses:       s.staticMisses.Load(),
-		StaticUncacheable:  s.staticUncacheable.Load(),
-		StaticCoalesced:    s.staticCoalesced.Load(),
+		CkptWarmups:        s.ckpts.misses.Load(),
+		CkptDiskHits:       s.ckpts.diskHits.Load(),
+		StaticHits:         s.statics.hits.Load(),
+		StaticMisses:       s.statics.misses.Load(),
+		StaticUncacheable:  s.statics.uncacheable.Load(),
+		StaticCoalesced:    s.statics.coalesced.Load(),
 		BytesRead:          s.bytesRead.Load(),
 		BytesWritten:       s.bytesWritten.Load(),
 	}
@@ -375,31 +341,18 @@ type diskBlob struct {
 // digest); a flat directory degrades on lookup and temp-file creation
 // long before the cache itself is large (classic dirent scaling), so
 // the digest prefix — uniform by construction, SHA-256 — spreads the
-// load. Blobs written by pre-shard revisions sit directly in dir; they
-// are still found via legacyBlobPath, so an upgrade invalidates
-// nothing.
+// load.
 func (s *Store) blobPath(kind string, d Digest) string {
 	h := d.String()
 	return filepath.Join(s.dir, h[:2], kind+"-"+h+".json")
 }
 
-// legacyBlobPath is the pre-shard flat location, read (never written)
-// for transparent cache carry-over across the layout upgrade.
-func (s *Store) legacyBlobPath(kind string, d Digest) string {
-	return filepath.Join(s.dir, kind+"-"+d.String()+".json")
-}
-
-// loadBlob reads and verifies one envelope, checking the sharded
-// location first and falling back to the legacy flat layout. Any
-// failure is a miss.
+// loadBlob reads and verifies one envelope. Any failure is a miss.
 func (s *Store) loadBlob(kind string, d Digest) (diskBlob, bool) {
 	if s.dir == "" {
 		return diskBlob{}, false
 	}
 	data, err := os.ReadFile(s.blobPath(kind, d))
-	if err != nil {
-		data, err = os.ReadFile(s.legacyBlobPath(kind, d))
-	}
 	if err != nil {
 		return diskBlob{}, false
 	}

@@ -35,13 +35,6 @@ type Options struct {
 	// admitted job on one worker; cross-request parallelism comes from
 	// the pool.
 	MeasureParallel int
-	// NoFamilyBatching disables warmup-family batching: with it set,
-	// same-family jobs are scheduled independently and simply block on
-	// the store's checkpoint singleflight. The default (batching on)
-	// parks a family's followers outside the workers until the shared
-	// warm checkpoint exists. Set it when the store has checkpoint
-	// forking disabled.
-	NoFamilyBatching bool
 }
 
 // Server coalesces, schedules, and executes scenario submissions. Its
@@ -51,7 +44,6 @@ type Server struct {
 	store           *scenario.Store
 	pool            *runner.Pool
 	measureParallel int
-	familyBatch     bool
 
 	mu sync.Mutex
 	// calls coalesces identical in-flight requests across clients: one
@@ -137,7 +129,6 @@ func New(opts Options) (*Server, error) {
 		store:           store,
 		pool:            runner.NewPool(opts.Workers, opts.QueueDepth),
 		measureParallel: mp,
-		familyBatch:     !opts.NoFamilyBatching,
 		calls:           make(map[string]*call),
 		families:        make(map[scenario.Digest]*family),
 		workloads:       make(map[string]*wlEntry),
@@ -211,7 +202,9 @@ func (s *Server) admit(key string, priority int, fam scenario.Digest, hasFam boo
 	// through and produces the shared checkpoint; followers park here
 	// instead of occupying workers that would all block on the same
 	// singleflighted warmup. They flush the moment the leader finishes.
-	if hasFam && s.familyBatch {
+	// A store with forking disabled reports no families, so nothing
+	// parks behind a checkpoint that will never exist.
+	if hasFam {
 		f := s.families[fam]
 		if f == nil {
 			f = &family{}
@@ -248,7 +241,7 @@ func (s *Server) finish(c *call, fill func()) {
 	s.mu.Lock()
 	delete(s.calls, c.key)
 	var flush []parkedJob
-	if c.hasFam && s.familyBatch {
+	if c.hasFam {
 		if f := s.families[c.fam]; f != nil && !f.ready {
 			f.ready = true
 			flush = f.pending
@@ -296,12 +289,18 @@ type wlEntry struct {
 }
 
 // buildWorkload returns the canonical built workload for a spec,
-// building each distinct spec exactly once per server.
+// building each distinct spec exactly once per server. The key
+// re-marshals the parsed struct (not the request's raw bytes), which
+// normalizes field order and whitespace: every spelling of the same
+// spec shares one built workload — and therefore one program pointer,
+// which keeps the scenario layer's per-pointer program-digest
+// memoization effective and bounded in a long-running daemon.
 func (s *Server) buildWorkload(ws WorkloadSpec) (*workload.Workload, error) {
-	key, err := ws.cacheKey()
+	b, err := json.Marshal(ws)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: workload spec: %w", err)
 	}
+	key := string(b)
 	s.wlMu.Lock()
 	e, ok := s.workloads[key]
 	if !ok {
@@ -406,7 +405,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// still flows through admission control.
 		key = fmt.Sprintf("run-uncacheable:%d", s.uncacheableSeq.Add(1))
 	}
-	fam, hasFam := spec.WarmupFamily()
+	fam, hasFam := s.store.WarmupFamily(spec)
 	c, joined, err := s.admit(key, req.Priority, fam, hasFam, func(c *call) {
 		c.stats, c.err = s.store.RunStats(spec)
 	})
@@ -453,13 +452,13 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// The measure's five runs share the accelerated spec's warmup
 	// family; gate the whole job on it so a fleet-submitted sweep warms
 	// once before fanning out.
-	fam, hasFam := scenario.Spec{
+	fam, hasFam := s.store.WarmupFamily(scenario.Spec{
 		Config:    req.Config,
 		Program:   wl.Accelerated,
 		NewDevice: wl.NewDevice,
 		DeviceKey: wl.DeviceKey,
 		MaxCycles: DefaultMaxCycles,
-	}.WarmupFamily()
+	})
 	c, joined, err := s.admit(key, req.Priority, fam, hasFam, func(c *call) {
 		res, err := experiments.MeasureWorkloadStore(s.store, req.Config, wl, s.measureParallel)
 		if err != nil {

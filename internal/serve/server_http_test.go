@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/serve"
@@ -218,5 +219,61 @@ func TestRepeatRequestIsHit(t *testing.T) {
 	m := srv.Metrics()
 	if m.Store.RunMisses != 1 || m.Store.RunHits+m.Store.RunCoalesced != 1 {
 		t.Errorf("repeat request: %+v, want 1 miss and 1 served duplicate", m.Store)
+	}
+}
+
+// TestNoForkStoreNeverParks: a store with checkpoint forking disabled
+// reports no warmup families, so a burst over one family schedules
+// straight onto the pool instead of parking behind a checkpoint that
+// will never exist.
+func TestNoForkStoreNeverParks(t *testing.T) {
+	hcfg := workload.HeapConfig{Operations: 20, FillerPerCall: 10, Prefill: 64, Seed: 1, WarmupFiller: 3_000}
+	spec := serve.WorkloadSpec{Kind: "heap", Heap: &hcfg}
+	w, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	family := scenario.Spec{
+		Config:    sim.HighPerfConfig(),
+		Program:   w.Accelerated,
+		NewDevice: w.NewDevice,
+		DeviceKey: w.DeviceKey,
+		MaxCycles: serve.DefaultMaxCycles,
+	}
+	forking, err := scenario.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := forking.WarmupFamily(family); !ok {
+		t.Fatal("spec has no warmup family on a forking store; the test would prove nothing")
+	}
+
+	store, err := scenario.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.DisableCheckpointForking()
+	if _, ok := store.WarmupFamily(family); ok {
+		t.Error("store with forking disabled reports a warmup family")
+	}
+	srv, cl := startDaemon(t, serve.Options{Store: store, Workers: 2})
+	var wg sync.WaitGroup
+	for _, m := range accel.AllModes {
+		cfg := sim.HighPerfConfig()
+		cfg.Mode = m
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.Run(context.Background(), serve.RunRequest{Config: cfg, Workload: spec}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := srv.Metrics().Server.Parked; got != 0 {
+		t.Errorf("parked = %d, want 0 with forking disabled", got)
+	}
+	if got := store.Metrics().CkptWarmups; got != 0 {
+		t.Errorf("ckpt warmups = %d, want 0 with forking disabled", got)
 	}
 }

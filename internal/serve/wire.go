@@ -18,9 +18,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/staticmodel"
@@ -33,95 +30,9 @@ import (
 // digest identically.
 const DefaultMaxCycles = 4_000_000_000
 
-// WorkloadSpec names one deterministic workload generator plus its
-// configuration — the wire form of a workload. Kind selects the
-// generator; exactly the matching config field must be set. Building
-// the same spec twice yields behaviorally identical workloads (the
-// generators are deterministic in their seeds), which is what lets
-// digests computed server-side stand for the client's intent.
-type WorkloadSpec struct {
-	// Kind is one of "synthetic", "heap", "matmul", "kvstore",
-	// "stringmatch", "regexmatch", "multitca", "daestream", "loopnest".
-	Kind string `json:"kind"`
-
-	Synthetic   *workload.SyntheticConfig   `json:"synthetic,omitempty"`
-	Heap        *workload.HeapConfig        `json:"heap,omitempty"`
-	MatMul      *workload.MatMulConfig      `json:"matmul,omitempty"`
-	KVStore     *workload.KVStoreConfig     `json:"kvstore,omitempty"`
-	StringMatch *workload.StringMatchConfig `json:"stringmatch,omitempty"`
-	RegexMatch  *workload.RegexMatchConfig  `json:"regexmatch,omitempty"`
-	MultiTCA    *workload.MultiTCAConfig    `json:"multitca,omitempty"`
-	DAEStream   *workload.DAEStreamConfig   `json:"daestream,omitempty"`
-	LoopNest    *workload.LoopNestConfig    `json:"loopnest,omitempty"`
-}
-
-// Build regenerates the workload the spec names.
-func (ws WorkloadSpec) Build() (*workload.Workload, error) {
-	switch ws.Kind {
-	case "synthetic":
-		if ws.Synthetic == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.Synthetic(*ws.Synthetic)
-	case "heap":
-		if ws.Heap == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.Heap(*ws.Heap)
-	case "matmul":
-		if ws.MatMul == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.MatMul(*ws.MatMul)
-	case "kvstore":
-		if ws.KVStore == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.KVStore(*ws.KVStore)
-	case "stringmatch":
-		if ws.StringMatch == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.StringMatch(*ws.StringMatch)
-	case "regexmatch":
-		if ws.RegexMatch == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.RegexMatch(*ws.RegexMatch)
-	case "multitca":
-		if ws.MultiTCA == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.MultiTCA(*ws.MultiTCA)
-	case "daestream":
-		if ws.DAEStream == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.DAEStream(*ws.DAEStream)
-	case "loopnest":
-		if ws.LoopNest == nil {
-			return nil, fmt.Errorf("serve: workload kind %q without config", ws.Kind)
-		}
-		return workload.LoopNest(*ws.LoopNest)
-	default:
-		return nil, fmt.Errorf("serve: unknown workload kind %q", ws.Kind)
-	}
-}
-
-// cacheKey is the canonical string form of the spec, keying the
-// server's built-workload cache. Re-marshaling the parsed struct (not
-// the request's raw bytes) normalizes field order and whitespace, so
-// every spelling of the same spec shares one built workload — and
-// therefore one program pointer, which keeps the scenario layer's
-// per-pointer program-digest memoization effective and bounded in a
-// long-running daemon.
-func (ws WorkloadSpec) cacheKey() (string, error) {
-	b, err := json.Marshal(ws)
-	if err != nil {
-		return "", fmt.Errorf("serve: workload spec: %w", err)
-	}
-	return string(b), nil
-}
+// WorkloadSpec is the wire form of a workload: a generator kind plus
+// its configuration, as listed by the workload.Spec registry.
+type WorkloadSpec = workload.Spec
 
 // RunRequest submits one simulator run: a core configuration, a
 // workload, and which of its matched pair of programs to execute.

@@ -44,12 +44,7 @@ func TestWireKindConfigRequired(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	kinds := []string{
-		"synthetic", "heap", "matmul", "kvstore",
-		"stringmatch", "regexmatch", "multitca",
-		"daestream", "loopnest",
-	}
-	for _, kind := range kinds {
+	for _, kind := range workload.Kinds() {
 		code, msg := postRun(t, ts.URL, RunRequest{
 			Config:   sim.HighPerfConfig(),
 			Workload: WorkloadSpec{Kind: kind},
@@ -71,6 +66,34 @@ func TestWireKindConfigRequired(t *testing.T) {
 	}
 	if s.pool.Metrics().Submitted != 0 {
 		t.Error("rejected specs reached the pool")
+	}
+}
+
+// TestWireStrayConfigRejected: a spec carrying a config for a kind other
+// than its own is rejected with 400 naming the stray field — not built
+// with the stray silently ignored, and not keyed apart from the plain
+// spec in the built-workload cache.
+func TestWireStrayConfigRejected(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, msg := postRun(t, ts.URL, RunRequest{
+		Config: sim.HighPerfConfig(),
+		Workload: WorkloadSpec{
+			Kind:   "heap",
+			Heap:   &workload.HeapConfig{Operations: 20, FillerPerCall: 10, Prefill: 64, Seed: 1},
+			MatMul: &workload.MatMulConfig{N: 16, Block: 8, Tile: 4, Seed: 1},
+		},
+	})
+	if code != http.StatusBadRequest {
+		t.Errorf("stray matmul config: status %d, want 400", code)
+	}
+	if want := `stray "matmul" config`; !strings.Contains(msg, want) {
+		t.Errorf("error %q does not name the stray field (%q)", msg, want)
+	}
+	if s.pool.Metrics().Submitted != 0 {
+		t.Error("rejected spec reached the pool")
 	}
 }
 

@@ -144,70 +144,19 @@ func refCycles(t *testing.T, c ckptCase) int64 {
 // on so the comparison covers the accel-event and pipeline traces, not just
 // scalar counters.
 func TestCheckpointResumeOnWorkloads(t *testing.T) {
-	type build struct {
-		name string
-		cfg  func() Config
-		make func() (*workload.Workload, error)
-	}
-	builds := []build{
-		{"synthetic", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.Synthetic(workload.SyntheticConfig{
-				Units: 40, UnitLen: 30, Regions: 12, RegionLen: 40,
-				AccelLatency: 400, Seed: 1,
-			})
-		}},
-		{"heap", LowPerfConfig, func() (*workload.Workload, error) {
-			return workload.Heap(workload.HeapConfig{
-				Operations: 120, FillerPerCall: 40, Prefill: 64, Seed: 2,
-			})
-		}},
-		{"matmul", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.MatMul(workload.MatMulConfig{N: 16, Block: 8, Tile: 4, Seed: 3})
-		}},
-		{"kvstore", A72Config, func() (*workload.Workload, error) {
-			return workload.KVStore(workload.KVStoreConfig{
-				Operations: 100, FillerPerOp: 30, Buckets: 256, Keys: 64,
-				LookupPct: 70, KeyWords: 4, Seed: 4,
-			})
-		}},
-		{"regex", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.RegexMatch(workload.RegexMatchConfig{
-				Pattern: "ab*c.d+", Matches: 40, FillerPerOp: 30,
-				Inputs: 8, MaxLen: 24, Seed: 5,
-			})
-		}},
-		{"stringmatch", LowPerfConfig, func() (*workload.Workload, error) {
-			return workload.StringMatch(workload.StringMatchConfig{
-				Comparisons: 60, FillerPerOp: 30, Dictionary: 12,
-				MinWords: 4, MaxWords: 10, SharedPrefix: 3, Seed: 6,
-			})
-		}},
-		{"multitca", HighPerfConfig, func() (*workload.Workload, error) {
-			cfg := workload.DefaultMultiTCA()
-			cfg.Calls = 60
-			return workload.MultiTCA(cfg)
-		}},
-	}
-	for _, bld := range builds {
-		w, err := bld.make()
-		if err != nil {
-			t.Fatalf("%s: %v", bld.name, err)
-		}
-		traced := func() Config {
-			cfg := bld.cfg()
-			cfg.RecordAccelEvents = true
-			cfg.PipeTraceLimit = 300
-			return cfg
-		}
-		t.Run(bld.name+"-baseline", func(t *testing.T) {
-			c := ckptCase{name: bld.name, cfg: traced(), prog: w.Baseline}
+	for _, sw := range standardWorkloads(t) {
+		traced := sw.cfg
+		traced.RecordAccelEvents = true
+		traced.PipeTraceLimit = 300
+		t.Run(sw.name+"-baseline", func(t *testing.T) {
+			c := ckptCase{name: sw.name, cfg: traced, prog: sw.w.Baseline}
 			assertCheckpointTransparent(t, c, refCycles(t, c)/2)
 		})
 		for _, m := range accel.AllModes {
-			t.Run(fmt.Sprintf("%s-%s", bld.name, m), func(t *testing.T) {
-				cfg := traced()
+			t.Run(fmt.Sprintf("%s-%s", sw.name, m), func(t *testing.T) {
+				cfg := traced
 				cfg.Mode = m
-				c := ckptCase{name: bld.name, cfg: cfg, prog: w.Accelerated, dev: w.NewDevice}
+				c := ckptCase{name: sw.name, cfg: cfg, prog: sw.w.Accelerated, dev: sw.w.NewDevice}
 				assertCheckpointTransparent(t, c, refCycles(t, c)/2)
 			})
 		}

@@ -89,73 +89,45 @@ func (s *engineShim) RestoreState(data []byte) error {
 	return nil
 }
 
-// engineWorkloads builds the seven standard workloads the differential
-// suites pin (the same set fastforward_test.go uses).
-func engineWorkloads(t *testing.T) []struct {
+// stdWorkload is one of the seven standard workloads the differential
+// suites (engine, fast-forward, checkpoint) pin, with its core.
+type stdWorkload struct {
 	name string
 	cfg  Config
 	w    *workload.Workload
-} {
+}
+
+// standardWorkloads builds the differential suites' shared workload set.
+func standardWorkloads(t *testing.T) []stdWorkload {
 	t.Helper()
-	type build struct {
-		name string
-		cfg  func() Config
-		make func() (*workload.Workload, error)
-	}
-	builds := []build{
-		{"synthetic", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.Synthetic(workload.SyntheticConfig{
-				Units: 40, UnitLen: 30, Regions: 12, RegionLen: 40,
-				AccelLatency: 400, Seed: 1,
-			})
-		}},
-		{"heap", LowPerfConfig, func() (*workload.Workload, error) {
-			return workload.Heap(workload.HeapConfig{
-				Operations: 120, FillerPerCall: 40, Prefill: 64, Seed: 2,
-			})
-		}},
-		{"matmul", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.MatMul(workload.MatMulConfig{N: 16, Block: 8, Tile: 4, Seed: 3})
-		}},
-		{"kvstore", A72Config, func() (*workload.Workload, error) {
-			return workload.KVStore(workload.KVStoreConfig{
-				Operations: 100, FillerPerOp: 30, Buckets: 256, Keys: 64,
-				LookupPct: 70, KeyWords: 4, Seed: 4,
-			})
-		}},
-		{"regex", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.RegexMatch(workload.RegexMatchConfig{
-				Pattern: "ab*c.d+", Matches: 40, FillerPerOp: 30,
-				Inputs: 8, MaxLen: 24, Seed: 5,
-			})
-		}},
-		{"stringmatch", LowPerfConfig, func() (*workload.Workload, error) {
-			return workload.StringMatch(workload.StringMatchConfig{
-				Comparisons: 60, FillerPerOp: 30, Dictionary: 12,
-				MinWords: 4, MaxWords: 10, SharedPrefix: 3, Seed: 6,
-			})
-		}},
-		{"multitca", HighPerfConfig, func() (*workload.Workload, error) {
-			cfg := workload.DefaultMultiTCA()
-			cfg.Calls = 60
-			return workload.MultiTCA(cfg)
-		}},
-	}
-	out := make([]struct {
+	mt := workload.DefaultMultiTCA()
+	mt.Calls = 60
+	builds := []struct {
 		name string
 		cfg  Config
-		w    *workload.Workload
-	}, 0, len(builds))
-	for _, bld := range builds {
-		w, err := bld.make()
+		spec workload.Spec
+	}{
+		{"synthetic", HighPerfConfig(), workload.Spec{Kind: "synthetic", Synthetic: &workload.SyntheticConfig{
+			Units: 40, UnitLen: 30, Regions: 12, RegionLen: 40, AccelLatency: 400, Seed: 1}}},
+		{"heap", LowPerfConfig(), workload.Spec{Kind: "heap", Heap: &workload.HeapConfig{
+			Operations: 120, FillerPerCall: 40, Prefill: 64, Seed: 2}}},
+		{"matmul", HighPerfConfig(), workload.Spec{Kind: "matmul", MatMul: &workload.MatMulConfig{
+			N: 16, Block: 8, Tile: 4, Seed: 3}}},
+		{"kvstore", A72Config(), workload.Spec{Kind: "kvstore", KVStore: &workload.KVStoreConfig{
+			Operations: 100, FillerPerOp: 30, Buckets: 256, Keys: 64, LookupPct: 70, KeyWords: 4, Seed: 4}}},
+		{"regex", HighPerfConfig(), workload.Spec{Kind: "regexmatch", RegexMatch: &workload.RegexMatchConfig{
+			Pattern: "ab*c.d+", Matches: 40, FillerPerOp: 30, Inputs: 8, MaxLen: 24, Seed: 5}}},
+		{"stringmatch", LowPerfConfig(), workload.Spec{Kind: "stringmatch", StringMatch: &workload.StringMatchConfig{
+			Comparisons: 60, FillerPerOp: 30, Dictionary: 12, MinWords: 4, MaxWords: 10, SharedPrefix: 3, Seed: 6}}},
+		{"multitca", HighPerfConfig(), workload.Spec{Kind: "multitca", MultiTCA: &mt}},
+	}
+	out := make([]stdWorkload, 0, len(builds))
+	for _, b := range builds {
+		w, err := b.spec.Build()
 		if err != nil {
-			t.Fatalf("%s: %v", bld.name, err)
+			t.Fatalf("%s: %v", b.name, err)
 		}
-		out = append(out, struct {
-			name string
-			cfg  Config
-			w    *workload.Workload
-		}{bld.name, bld.cfg(), w})
+		out = append(out, stdWorkload{b.name, b.cfg, w})
 	}
 	return out
 }
@@ -186,7 +158,7 @@ func runEngineCase(t *testing.T, cfg Config, w *workload.Workload, shim bool) *R
 // observability counter, which counts explicit-schedule phases and is
 // definitionally zero on the scalar path — is excluded from the comparison.
 func TestEngineScalarScheduleEquivalence(t *testing.T) {
-	for _, c := range engineWorkloads(t) {
+	for _, c := range standardWorkloads(t) {
 		for _, m := range accel.AllModes {
 			t.Run(fmt.Sprintf("%s-%s", c.name, m), func(t *testing.T) {
 				cfg := c.cfg

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/isa"
-	"repro/internal/workload"
 )
 
 // ffCase is one program/device/config combination checked for fast-forward
@@ -76,67 +75,19 @@ func assertFFTransparent(t *testing.T, c ffCase) int64 {
 // benchmark workload: the baseline program and the accelerated program in
 // all four TCA integration modes.
 func TestFastForwardTransparentOnWorkloads(t *testing.T) {
-	type build struct {
-		name string
-		cfg  func() Config
-		make func() (*workload.Workload, error)
-	}
-	builds := []build{
-		{"synthetic", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.Synthetic(workload.SyntheticConfig{
-				Units: 40, UnitLen: 30, Regions: 12, RegionLen: 40,
-				AccelLatency: 400, Seed: 1,
-			})
-		}},
-		{"heap", LowPerfConfig, func() (*workload.Workload, error) {
-			return workload.Heap(workload.HeapConfig{
-				Operations: 120, FillerPerCall: 40, Prefill: 64, Seed: 2,
-			})
-		}},
-		{"matmul", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.MatMul(workload.MatMulConfig{N: 16, Block: 8, Tile: 4, Seed: 3})
-		}},
-		{"kvstore", A72Config, func() (*workload.Workload, error) {
-			return workload.KVStore(workload.KVStoreConfig{
-				Operations: 100, FillerPerOp: 30, Buckets: 256, Keys: 64,
-				LookupPct: 70, KeyWords: 4, Seed: 4,
-			})
-		}},
-		{"regex", HighPerfConfig, func() (*workload.Workload, error) {
-			return workload.RegexMatch(workload.RegexMatchConfig{
-				Pattern: "ab*c.d+", Matches: 40, FillerPerOp: 30,
-				Inputs: 8, MaxLen: 24, Seed: 5,
-			})
-		}},
-		{"stringmatch", LowPerfConfig, func() (*workload.Workload, error) {
-			return workload.StringMatch(workload.StringMatchConfig{
-				Comparisons: 60, FillerPerOp: 30, Dictionary: 12,
-				MinWords: 4, MaxWords: 10, SharedPrefix: 3, Seed: 6,
-			})
-		}},
-		{"multitca", HighPerfConfig, func() (*workload.Workload, error) {
-			cfg := workload.DefaultMultiTCA()
-			cfg.Calls = 60
-			return workload.MultiTCA(cfg)
-		}},
-	}
 	var totalSkipped int64
-	for _, bld := range builds {
-		w, err := bld.make()
-		if err != nil {
-			t.Fatalf("%s: %v", bld.name, err)
-		}
-		t.Run(bld.name+"-baseline", func(t *testing.T) {
+	for _, c := range standardWorkloads(t) {
+		t.Run(c.name+"-baseline", func(t *testing.T) {
 			totalSkipped += assertFFTransparent(t, ffCase{
-				name: bld.name, cfg: bld.cfg(), prog: w.Baseline,
+				name: c.name, cfg: c.cfg, prog: c.w.Baseline,
 			})
 		})
 		for _, m := range accel.AllModes {
-			t.Run(fmt.Sprintf("%s-%s", bld.name, m), func(t *testing.T) {
-				cfg := bld.cfg()
+			t.Run(fmt.Sprintf("%s-%s", c.name, m), func(t *testing.T) {
+				cfg := c.cfg
 				cfg.Mode = m
 				totalSkipped += assertFFTransparent(t, ffCase{
-					name: bld.name, cfg: cfg, prog: w.Accelerated, dev: w.NewDevice,
+					name: c.name, cfg: cfg, prog: c.w.Accelerated, dev: c.w.NewDevice,
 				})
 			})
 		}
