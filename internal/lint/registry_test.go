@@ -90,8 +90,18 @@ func TestRegistrySurfaceDeletion(t *testing.T) {
 			want:   "canonical DeviceKey",
 		},
 		{
-			name:   "registry-entry",
+			// The wire Build switch is the registry's: dropping Alpha's
+			// case leaves the kind decodable but unbuildable.
+			name:   "serve-wire-kind",
 			tags:   []string{"alpha-registry"},
+			family: "Alpha",
+			want:   "workload.Spec.Build",
+		},
+		{
+			// cmd/tcasim lists and builds kinds from the registry alone:
+			// dropping Alpha's config field and Build case unregisters it.
+			name:   "tcasim-registration",
+			tags:   []string{"alpha-kind", "alpha-registry"},
 			family: "Alpha",
 			want:   "workload.Spec.Build",
 		},

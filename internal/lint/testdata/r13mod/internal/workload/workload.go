@@ -39,21 +39,28 @@ func Beta(chunk int) *Workload {
 	}
 }
 
-// Spec is the registry: Kind selects a workload family by name, the way
-// scenariod clients and the CLI request devices.
+// Spec is the registry, shaped like the real one: Kind selects a family
+// whose config field (JSON name = kind) scenariod clients send and
+// cmd/tcasim lists, and whose Build case constructs it.
 type Spec struct {
-	Kind  string
-	Lat   uint64
-	Chunk int
+	Kind  string       `json:"kind"`
+	Alpha *AlphaConfig `json:"alpha,omitempty"` // r13drop:alpha-kind
+	Beta  *BetaConfig  `json:"beta,omitempty"`
 }
+
+// AlphaConfig configures the scalar family.
+type AlphaConfig struct{ Lat uint64 }
+
+// BetaConfig configures the engine family.
+type BetaConfig struct{ Chunk int }
 
 // Build constructs the named workload.
 func (s Spec) Build() (*Workload, error) {
 	switch s.Kind {
 	case "alpha":
-		return Alpha(s.Lat), nil // r13drop:alpha-registry
+		return Alpha(s.Alpha.Lat), nil // r13drop:alpha-registry
 	case "beta":
-		return Beta(s.Chunk), nil
+		return Beta(s.Beta.Chunk), nil
 	}
 	return nil, fmt.Errorf("workload: unknown kind %q", s.Kind)
 }
