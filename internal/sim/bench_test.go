@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/isa"
+	"repro/internal/workload"
 )
 
 // benchRun simulates one program/device/mode combination to completion.
@@ -77,4 +78,33 @@ func BenchmarkRunCoarseGrainNL_NT(b *testing.B) {
 	b.Run("NoFastForward", func(b *testing.B) {
 		benchRun(b, cfgSlow, prog, dev, "noskip")
 	})
+}
+
+// BenchmarkRunMatMulHP measures the busy-cycle cost of the issue stage:
+// the blocked-matmul baseline on the HP core keeps the ROB near full of
+// loads and FMAs waiting on each other, so nearly every cycle selects a
+// few ready entries out of a hundred or more resident ones, and
+// fast-forwarding rarely engages.
+func BenchmarkRunMatMulHP(b *testing.B) {
+	w, err := workload.MatMul(workload.MatMulConfig{N: 32, Block: 16, Tile: 4, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var instr uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core, err := New(HighPerfConfig(), w.Baseline, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Run(2_000_000_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instr += res.Stats.Committed
+	}
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(instr)/sec/1e6, "Minstr/s")
+	}
 }
