@@ -43,27 +43,40 @@ func (o *overlayReader) LoadFloat(addr uint64) float64 {
 	return math.Float64frombits(o.Load(addr))
 }
 
-// buildOverlay collects the in-flight writes older than ROB position pos.
-// Callers guarantee every older store has executed (address and data known)
-// and every older TCA invocation has started, so the overlay is complete.
+// buildOverlay collects the in-flight writes older than ROB position pos,
+// visiting only the writer set (robQueue.writers). Callers guarantee every
+// older store has executed (address and data known) and every older TCA
+// invocation has started, so the overlay is complete.
 func (c *Core) buildOverlay(pos int) *overlayReader {
 	o := &overlayReader{base: c.mem, pending: make(map[uint64]uint64)}
+	rob := c.rob
 	// Oldest-first so newer writes overwrite older ones to the same word.
-	for i := 0; i < pos; i++ {
-		switch oh := c.rob.hotAt(i); {
-		case oh.op.IsStore():
-			if e := c.rob.at(i); e.addrKnown {
+	for i := rob.next(rob.writers, 0); i >= 0 && i < pos; i = rob.next(rob.writers, i+1) {
+		e := rob.at(i)
+		if rob.hotAt(i).op.IsStore() {
+			if e.addrKnown {
 				o.pending[e.addr>>3] = e.storeData
 			}
-		case oh.op == isa.OpAccel:
-			if e := c.rob.at(i); e.accelStarted {
-				for _, s := range c.accelStoresOf(e) {
-					o.pending[s.Addr>>3] = s.Data
-				}
+		} else if e.accelStarted {
+			for _, s := range c.accelStoresOf(e) {
+				o.pending[s.Addr>>3] = s.Data
 			}
 		}
 	}
 	return o
+}
+
+// lowConfBranchBefore reports whether an unresolved low-confidence branch
+// is older than ROB position pos. Only the partial-speculation gate asks,
+// at most once a cycle (for the oldest unstarted invocation), so it walks
+// the ROB on demand rather than keeping an index.
+func (c *Core) lowConfBranchBefore(pos int) bool {
+	for i := 0; i < pos; i++ {
+		if h := c.rob.hotAt(i); h.op.IsCondBranch() && h.state != sDone && !c.rob.at(i).predConfident {
+			return true
+		}
+	}
+	return false
 }
 
 // tryStartAccel begins a TCA invocation when the mode and hazards allow:
@@ -82,7 +95,7 @@ func (c *Core) buildOverlay(pos int) *overlayReader {
 // device, arbitrary deterministic phase sequences for engine devices. The
 // invocation completes (becomes commit-eligible) when every phase's
 // micro-operations have finished, as the paper's methodology requires.
-func (c *Core) tryStartAccel(pos int, h *robHot, e *robEntry, olderStorePending, olderAccelPending, olderMemAccelPending, lowConfidencePath bool) bool {
+func (c *Core) tryStartAccel(pos int, h *robHot, e *robEntry, olderStorePending, olderAccelPending, olderMemAccelPending bool) bool {
 	if h.pendMask != 0 || olderAccelPending {
 		return false
 	}
@@ -99,8 +112,9 @@ func (c *Core) tryStartAccel(pos int, h *robHot, e *robEntry, olderStorePending,
 		return false
 	}
 	// Partial speculation (§VIII future work): hold speculative starts
-	// while a low-confidence branch is unresolved ahead of us.
-	if lowConfidencePath && pos != 0 {
+	// while a low-confidence branch is unresolved ahead of us. A non-head
+	// invocation gets here only in a Leading mode, where the gate applies.
+	if c.cfg.PartialSpeculation && pos != 0 && c.lowConfBranchBefore(pos) {
 		c.stats.AccelConfidenceWait++
 		c.cycleConfWait = true
 		return false
@@ -108,7 +122,7 @@ func (c *Core) tryStartAccel(pos int, h *robHot, e *robEntry, olderStorePending,
 	// Only devices that read program memory must wait for older writes to
 	// resolve; register-operand devices (heap tables, fixed-latency
 	// blocks) start as soon as dispatched, as the model assumes.
-	if devUsesMemory(c.dev) && (olderStorePending || olderMemAccelPending) {
+	if c.devMem && (olderStorePending || olderMemAccelPending) {
 		return false
 	}
 

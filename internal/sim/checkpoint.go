@@ -287,6 +287,10 @@ func (c *Core) restoreFrom(ck *Checkpoint) error {
 	c.rob.count = len(ck.ROBHot)
 	copy(c.rob.hot, ck.ROBHot)
 	copy(c.rob.cold, ck.ROBCold)
+	// The issue indexes are derived state: rebuilt, never serialized.
+	if waiting := c.rob.reindex(); waiting != ck.IQCount {
+		return fmt.Errorf("sim: corrupt checkpoint: %d waiting ROB entries, IQ count %d", waiting, ck.IQCount)
+	}
 	c.accelArena = append(c.accelArena[:0], ck.Arena...)
 	c.liveStores = ck.LiveStores
 	c.iqCount = ck.IQCount

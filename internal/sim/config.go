@@ -339,7 +339,7 @@ func A72Config() Config {
 }
 
 // opLatency returns the execution latency of non-memory, non-accel ops.
-func (c Config) opLatency(op isa.Op) int {
+func (c *Config) opLatency(op isa.Op) int {
 	switch op {
 	case isa.OpMul:
 		return c.IntMulLatency

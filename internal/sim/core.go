@@ -45,6 +45,9 @@ type Core struct {
 	cfg  Config
 	prog *isa.Program
 	dev  isa.AccelDevice
+	// devMem caches devUsesMemory(dev): whether invocations must be
+	// ordered against older stores and memory-using invocations.
+	devMem bool
 
 	mem  *isa.Memory
 	hier *mem.Hierarchy
@@ -145,13 +148,14 @@ func New(cfg Config, prog *isa.Program, dev isa.AccelDevice) (*Core, error) {
 		}
 	}
 	c := &Core{
-		cfg:  cfg,
-		prog: prog,
-		dev:  dev,
-		mem:  prog.NewMemoryImage(),
-		hier: mem.NewHierarchy(cfg.Memory),
-		pred: pred,
-		rob:  newROBQueue(cfg.ROBSize),
+		cfg:    cfg,
+		prog:   prog,
+		dev:    dev,
+		mem:    prog.NewMemoryImage(),
+		hier:   mem.NewHierarchy(cfg.Memory),
+		pred:   pred,
+		rob:    newROBQueue(cfg.ROBSize),
+		devMem: devUsesMemory(dev),
 	}
 	c.curFetchLine = -1
 	c.pauseAt = horizonNever
@@ -294,7 +298,7 @@ func (c *Core) describeHead() string {
 
 // portGrant reserves the earliest-available memory port at or after start
 // and returns the granted cycle. Requests arriving earlier get earlier
-// grants, so the oldest-first issue scan yields the age-priority
+// grants, so the oldest-first issue select yields the age-priority
 // arbitration the paper's methodology specifies.
 func (c *Core) portGrant(start int64) int64 {
 	best := 0
@@ -399,6 +403,9 @@ func (c *Core) wake(pos int, h *robHot) {
 				d.srcs[s].value = val
 				h.wakeUses--
 			}
+		}
+		if dh.pendMask == 0 {
+			c.rob.cand.add(c.rob.slot(i))
 		}
 	}
 }

@@ -5,38 +5,27 @@ import (
 	"repro/internal/isa"
 )
 
-// issue scans the ROB oldest-first and starts execution of ready
-// instructions, up to IssueWidth per cycle. The oldest-first order gives
-// age priority at the shared memory ports. The scan touches only the hot
-// slab until an entry can actually issue or raises a hazard.
+// issue starts execution of ready instructions, oldest first, up to
+// IssueWidth per cycle. The oldest-first order gives age priority at the
+// shared memory ports. It visits only the candidate set (robQueue.cand):
+// every other waiting entry has a pending operand and is neither a store
+// nor a TCA invocation, so it could neither issue nor raise an ordering
+// hazard for younger entries, and skipping it changes nothing.
 func (c *Core) issue() {
 	issued := 0
 	sawUnissuedStore := false    // an older store has not produced addr+data yet
 	sawStoreAddrUnknown := false // an older store's address is still unknown
 	sawUnstartedAccel := false   // an older TCA invocation has not begun
 	sawUnstartedMemAccel := false
-	sawLowConfBranch := false // an older unresolved low-confidence branch
 
-	partial := c.cfg.PartialSpeculation && c.cfg.Mode.Leading()
-
-	// Only waiting entries can issue or raise ordering hazards, so the
-	// scan stops once it has seen them all (iqCount tracks exactly the
-	// waiting population).
-	remaining := c.iqCount
-	for i := 0; i < c.rob.len() && issued < c.cfg.IssueWidth && remaining > 0; i++ {
-		h := c.rob.hotAt(i)
-		if partial && h.op.IsCondBranch() && h.state != sDone && !c.rob.at(i).predConfident {
-			sawLowConfBranch = true
-		}
-		if h.state != sWaiting {
-			continue
-		}
-		remaining--
-		e := c.rob.at(i)
+	rob := c.rob
+	for i := rob.next(rob.cand, 0); i >= 0 && issued < c.cfg.IssueWidth; i = rob.next(rob.cand, i+1) {
+		h := rob.hotAt(i)
+		e := rob.at(i)
 		ok := false
 		switch {
 		case h.op == isa.OpAccel:
-			ok = c.tryStartAccel(i, h, e, sawUnissuedStore, sawUnstartedAccel, sawUnstartedMemAccel, partial && sawLowConfBranch)
+			ok = c.tryStartAccel(i, h, e, sawUnissuedStore, sawUnstartedAccel, sawUnstartedMemAccel)
 		case h.op.IsLoad():
 			storeHazard := sawStoreAddrUnknown
 			if c.cfg.ConservativeLoadOrdering {
@@ -58,6 +47,7 @@ func (c *Core) issue() {
 			ok = c.tryIssueSimple(h, e)
 		}
 		if ok {
+			rob.cand.remove(rob.slot(i))
 			e.issueCycle = c.now
 			c.iqCount--
 			c.issuedCount++
@@ -75,7 +65,7 @@ func (c *Core) issue() {
 		}
 		if h.op == isa.OpAccel {
 			sawUnstartedAccel = true
-			if devUsesMemory(c.dev) {
+			if c.devMem {
 				sawUnstartedMemAccel = true
 			}
 		}
@@ -183,14 +173,15 @@ func (c *Core) tryIssueLoad(pos int, h *robHot, e *robEntry, olderStoreAddrUnkno
 }
 
 // forwardScan looks newest-first through older in-flight writes for the
-// given word address. A matching store that has not captured its data yet
-// blocks the load (fwdBlock).
+// given word address, visiting only the writer set (robQueue.writers). A
+// matching store that has not captured its data yet blocks the load
+// (fwdBlock).
 func (c *Core) forwardScan(pos int, word uint64) (val uint64, when int64, status forwardStatus) {
-	for i := pos - 1; i >= 0; i-- {
-		oh := c.rob.hotAt(i)
-		switch {
-		case oh.op.IsStore():
-			o := c.rob.at(i)
+	rob := c.rob
+	for i := rob.prev(rob.writers, pos-1); i >= 0; i = rob.prev(rob.writers, i-1) {
+		oh := rob.hotAt(i)
+		o := rob.at(i)
+		if oh.op.IsStore() {
 			if !o.addrKnown || o.addr>>3 != word {
 				continue
 			}
@@ -198,16 +189,14 @@ func (c *Core) forwardScan(pos int, word uint64) (val uint64, when int64, status
 				return 0, 0, fwdBlock
 			}
 			return o.storeData, oh.readyCycle, fwdHit
-		case oh.op == isa.OpAccel:
-			o := c.rob.at(i)
-			if !o.accelStarted {
-				continue
-			}
-			stores := c.accelStoresOf(o)
-			for j := len(stores) - 1; j >= 0; j-- {
-				if stores[j].Addr>>3 == word {
-					return stores[j].Data, oh.readyCycle, fwdHit
-				}
+		}
+		if !o.accelStarted {
+			continue
+		}
+		stores := c.accelStoresOf(o)
+		for j := len(stores) - 1; j >= 0; j-- {
+			if stores[j].Addr>>3 == word {
+				return stores[j].Data, oh.readyCycle, fwdHit
 			}
 		}
 	}
@@ -242,7 +231,7 @@ func (c *Core) dispatch() {
 			c.cycleStall = &c.stats.DispatchStalls.IQFull
 			return
 		}
-		f := c.fetchQ[c.fetchHead]
+		f := &c.fetchQ[c.fetchHead]
 		if f.in.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize {
 			c.stats.DispatchStalls.LSQFull++
 			c.cycleStall = &c.stats.DispatchStalls.LSQFull
@@ -251,20 +240,21 @@ func (c *Core) dispatch() {
 		c.fetchHead++
 		c.quiet = false
 
-		h, e := c.rob.push()
+		slot, h, e := c.rob.push()
 		*h = robHot{
 			seq:        c.seq,
 			op:         f.in.Op,
 			state:      sWaiting,
 			readyCycle: c.now,
 		}
-		*e = robEntry{
-			pc:            f.pc,
-			in:            f.in,
-			dispatchCycle: c.now,
-			predTaken:     f.predTaken,
-			predConfident: f.predConfident,
-		}
+		// The cold entry is cleared and filled in place: assigning a
+		// composite literal would build it on the stack and copy it.
+		*e = robEntry{}
+		e.pc = f.pc
+		e.in = f.in
+		e.dispatchCycle = c.now
+		e.predTaken = f.predTaken
+		e.predConfident = f.predConfident
 		c.seq++
 
 		// Rename sources.
@@ -310,6 +300,12 @@ func (c *Core) dispatch() {
 		}
 		if f.in.Op.IsMem() {
 			c.lsqCount++
+		}
+		if h.isWriter() {
+			c.rob.writers.add(slot)
+		}
+		if h.isCandidate() {
+			c.rob.cand.add(slot)
 		}
 	}
 }
