@@ -42,6 +42,13 @@ cmp "$tmp/off.txt" "$tmp/cold.txt"
 cmp "$tmp/cold.txt" "$tmp/warm.txt"
 cmp "$tmp/cold.txt" "$tmp/nofork.txt"
 
+# The absolute contract: the stock full artifact is byte-identical to the
+# committed figures_output.txt. The comparisons above only check runs
+# against each other, so a drift in simulated output would pass them.
+echo "==> figure artifact: stock -fig all vs committed figures_output.txt"
+"$tmp/figures" -fig all >"$tmp/stock.txt"
+cmp "$tmp/stock.txt" figures_output.txt
+
 # The device-engine contract: the devcross study (DAE + loop-accelerator
 # families, engine schedules, DeviceKey-cached runs) is byte-identical
 # with the cache off, cold, and warm.
