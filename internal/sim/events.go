@@ -146,7 +146,8 @@ func (c *Core) eventHorizon(maxCycles int64) int64 {
 	if c.iqCount > 0 {
 		// Redundant with the heap records (see file comment) but cheap:
 		// a handful of units, and it keeps the legality argument local.
-		for _, units := range c.fu {
+		// Ranging over &c.fu avoids copying the array of slice headers.
+		for _, units := range &c.fu {
 			for _, free := range units {
 				if free >= c.now && free < h {
 					h = free

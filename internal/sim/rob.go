@@ -139,9 +139,10 @@ func (s slotSet) remove(slot int) { s[slot>>6] &^= 1 << uint(slot&63) }
 // cand and writers index the residents by physical slot (DESIGN.md, "Issue
 // select"): cand holds exactly the entries for which isCandidate holds,
 // writers those for which isWriter holds. Both are derived from the slabs —
-// the core keeps cand current at dispatch, wakeup and issue, popHead and
-// truncate drop departing slots from both, and reindex rebuilds them after
-// a checkpoint restore — so neither is ever serialized.
+// dispatch indexes each new entry, wakeup and issue keep cand current,
+// popHead and truncate drop departing slots from both, and reindex
+// rebuilds them after a checkpoint restore — so neither is ever
+// serialized.
 type robQueue struct {
 	hot     []robHot
 	cold    []robEntry
@@ -177,12 +178,12 @@ func (q *robQueue) slot(i int) int { return (q.head + i) & q.mask }
 
 // hotAt returns the i'th oldest entry's hot state (0 = head).
 func (q *robQueue) hotAt(i int) *robHot {
-	return &q.hot[(q.head+i)&q.mask]
+	return &q.hot[q.slot(i)]
 }
 
 // at returns the i'th oldest entry's cold state (0 = head).
 func (q *robQueue) at(i int) *robEntry {
-	return &q.cold[(q.head+i)&q.mask]
+	return &q.cold[q.slot(i)]
 }
 
 // indexOf returns the position (0 = head) of the resident entry with the
@@ -239,7 +240,7 @@ func (q *robQueue) prev(s slotSet, i int) int {
 // push appends a new entry and returns its slot and both halves for
 // initialization; the caller indexes the entry once it is initialized.
 func (q *robQueue) push() (int, *robHot, *robEntry) {
-	i := (q.head + q.count) & q.mask
+	i := q.slot(q.count)
 	q.count++
 	return i, &q.hot[i], &q.cold[i]
 }
