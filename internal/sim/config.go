@@ -339,6 +339,8 @@ func A72Config() Config {
 }
 
 // opLatency returns the execution latency of non-memory, non-accel ops.
+// It takes a pointer because every simple-op issue calls it, and a value
+// receiver would copy the whole Config each time.
 func (c *Config) opLatency(op isa.Op) int {
 	switch op {
 	case isa.OpMul:

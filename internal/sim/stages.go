@@ -190,6 +190,7 @@ func (c *Core) forwardScan(pos int, word uint64) (val uint64, when int64, status
 			}
 			return o.storeData, oh.readyCycle, fwdHit
 		}
+		// A TCA invocation: once started, its pending stores forward.
 		if !o.accelStarted {
 			continue
 		}
