@@ -52,3 +52,71 @@ func TestDefaultSpecDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultSpecMeasureDigests pins each registry default's measure
+// digest on the HP core. The store keys measure blobs on it, so a move
+// here orphans every cached measurement.
+func TestDefaultSpecMeasureDigests(t *testing.T) {
+	want := map[string]string{
+		"synthetic":   "6e3ec406a98fa54723fedc3884ff1a45adf2b7bf69d8bdd0d0336d28e8b4a483",
+		"heap":        "b8da940f7a2f39d5d63f20914703e181135ae377f708750a21ee84328dd020a3",
+		"matmul":      "25aeed1b638d7f53955b15da97a8148d823b7f1b3100ad0f1cdc60e27d75670c",
+		"kvstore":     "236a02d09593032b7d40d4661b3541f105e08b248b38099055b2b9ae44f85c09",
+		"stringmatch": "0a54785b1a0b8a8c08d074cc3985d76f5c3653482faae71c611f1c2ac722c5a9",
+		"regexmatch":  "d35f41114a18b2645c1c34430bc34e2bcce21d4650a36b1140794ce34c917f3e",
+		"multitca":    "556b9275be67de709903757bb511bb1e6740e37fffd4afb1807dac4a7c86d7cd",
+		"daestream":   "40eefd66f7f7ff5698286a2652ad494bb200da3120d737656d476ac635f13871",
+		"loopnest":    "571178fcd29daefdc26addb42c36c228d706fa3a767e2f47813903a6c2b332e4",
+	}
+	kinds := workload.Kinds()
+	if len(kinds) != len(want) {
+		t.Errorf("registry lists %d kinds, golden table %d", len(kinds), len(want))
+	}
+	for _, kind := range kinds {
+		spec, err := workload.DefaultSpec(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		ms := scenario.MeasureSpec{Config: sim.HighPerfConfig(), Workload: w, MaxCycles: 4_000_000_000}
+		if got := ms.Digest().String(); got != want[kind] {
+			t.Errorf("%s: default measure digest %s, want %s", kind, got, want[kind])
+		}
+	}
+}
+
+// TestWarmupFamilyDigest pins the warmup-family digest of a heap
+// workload with a scalar warmup phase. The store keys checkpoint blobs
+// on it, so a move here orphans every cached warm checkpoint.
+func TestWarmupFamilyDigest(t *testing.T) {
+	const want = "ba483d486c7ed8d912c5db229496292f7b0637cd92d1a3c020163facedbb4f04"
+	w, err := workload.Heap(workload.HeapConfig{
+		Operations: 40, FillerPerCall: 10, Prefill: 512, Seed: 1, WarmupFiller: 4000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := scenario.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.HighPerfConfig()
+	cfg.Mode = accel.LT
+	run := scenario.Spec{
+		Config:    cfg,
+		Program:   w.Accelerated,
+		NewDevice: w.NewDevice,
+		DeviceKey: w.DeviceKey,
+		MaxCycles: 4_000_000_000,
+	}
+	d, ok := store.WarmupFamily(run)
+	if !ok {
+		t.Fatal("heap spec with a warmup phase does not fork")
+	}
+	if got := d.String(); got != want {
+		t.Errorf("warmup-family digest %s, want %s", got, want)
+	}
+}
