@@ -19,6 +19,11 @@ type Program struct {
 	// Labels maps symbolic names to instruction indices (for diagnostics).
 	//lint:exempt-field R8 Program.Labels diagnostics only; execution and identity depend on Code/Init alone
 	Labels map[string]int
+
+	// validated marks a program returned by Builder.Build. Build sets it
+	// before the program is shared, and nothing writes through a built
+	// program afterwards, so the check Build ran still holds.
+	validated bool
 }
 
 // MemInit seeds one 8-byte memory word before the program runs.
@@ -41,8 +46,13 @@ func (p *Program) NewMemoryImage() *Memory {
 
 // Validate checks structural invariants: branch targets in range, register
 // classes consistent with opcodes, and a reachable halt. It returns the
-// first violation found.
+// first violation found. A program from Builder.Build passed this check
+// there and is immutable, so it returns nil at once; a hand-built
+// Program literal gets the full walk.
 func (p *Program) Validate() error {
+	if p.validated {
+		return nil
+	}
 	n := len(p.Code)
 	if n == 0 {
 		return fmt.Errorf("isa: empty program")
@@ -289,7 +299,8 @@ func (b *Builder) branch(op Op, s1, s2 Reg, label string) {
 	b.fixups[idx] = label
 }
 
-// Build resolves labels and returns the validated program.
+// Build resolves labels and returns the validated program, marked so that
+// later Validate calls skip the walk.
 func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -317,6 +328,7 @@ func (b *Builder) Build() (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p.validated = true
 	return p, nil
 }
 

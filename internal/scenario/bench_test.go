@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // The cached-vs-uncached pair: BenchmarkRunStatsUncached is the cost of
@@ -53,10 +55,37 @@ func BenchmarkRunStatsWarmDisk(b *testing.B) {
 	}
 }
 
+// BenchmarkDigest times a run-spec digest whose program sub-digest is
+// already memoized: the config encoding plus one SHA-256 over a few
+// hundred bytes. That is the per-request cost on scenariod's hit path;
+// BenchmarkProgramDigest times the program hashing itself.
 func BenchmarkDigest(b *testing.B) {
 	spec := baselineSpec(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = spec.Digest()
+	}
+}
+
+// BenchmarkProgramDigest times the un-memoized program sub-digest of a
+// multi-megabyte generator program: E4's kvstore at filler 320. SetBytes
+// counts the canonical encoding (48 bytes per instruction, 16 per init
+// word), so the MB/s column is the encoder's throughput.
+func BenchmarkProgramDigest(b *testing.B) {
+	w, err := workload.KVStore(workload.KVStoreConfig{
+		Operations: 600, FillerPerOp: 320,
+		Buckets: 256, Keys: 128, LookupPct: 70, KeyWords: 4, Seed: 17,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := w.Baseline
+	b.SetBytes(int64(48*len(p.Code) + 16*len(p.Init)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := newEncoder("program")
+		e.program(p)
+		_ = e.sum()
 	}
 }

@@ -29,9 +29,15 @@ func (d Digest) Short() string { return hex.EncodeToString(d[:6]) }
 // variable-length data (strings, slices) is length-prefixed so
 // adjacent fields cannot alias. Any change to what is written — order,
 // width, field set — must bump SchemeVersion.
+//
+// The primitives fill buf and hand it to the hash a kilobyte at a time,
+// so a program hashes at SHA-256 block speed instead of paying one
+// interface call per 8-byte field. Buffering changes when bytes reach
+// the hash, never which bytes.
 type encoder struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int // bytes of buf not yet written to h
+	buf [1024]byte
 }
 
 func newEncoder(kind string) *encoder {
@@ -42,15 +48,36 @@ func newEncoder(kind string) *encoder {
 	return e
 }
 
+func (e *encoder) flush() {
+	e.h.Write(e.buf[:e.n])
+	e.n = 0
+}
+
 func (e *encoder) sum() Digest {
+	e.flush()
 	var d Digest
 	e.h.Sum(d[:0])
 	return d
 }
 
 func (e *encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:], v)
-	e.h.Write(e.buf[:])
+	if e.n+8 > len(e.buf) {
+		e.flush()
+	}
+	binary.LittleEndian.PutUint64(e.buf[e.n:], v)
+	e.n += 8
+}
+
+// raw appends bytes with no length prefix, flushing each time buf fills.
+func (e *encoder) raw(s string) {
+	for len(s) > 0 {
+		if e.n == len(e.buf) {
+			e.flush()
+		}
+		k := copy(e.buf[e.n:], s)
+		e.n += k
+		s = s[k:]
+	}
 }
 
 func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
@@ -68,7 +95,7 @@ func (e *encoder) bool(b bool) {
 
 func (e *encoder) str(s string) {
 	e.u64(uint64(len(s)))
-	io.WriteString(e.h, s)
+	e.raw(s)
 }
 
 // config writes the canonical form of a simulator configuration.
@@ -155,7 +182,7 @@ func (e *encoder) programRef(p *isa.Program) {
 // other variable-width field.
 func (e *encoder) digest(d Digest) {
 	e.u64(uint64(len(d)))
-	e.h.Write(d[:])
+	e.raw(string(d[:]))
 }
 
 // program writes the instruction stream and initial memory image.

@@ -1,11 +1,17 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/accel"
 	"repro/internal/isa"
+	"repro/internal/proggen"
 	"repro/internal/sim"
 )
 
@@ -188,5 +194,94 @@ func TestDescribe(t *testing.T) {
 	spec.Describe(&sb)
 	if !strings.Contains(sb.String(), "uncacheable") {
 		t.Errorf("Describe of uncacheable spec should say so:\n%s", sb.String())
+	}
+}
+
+// refEncoder writes every primitive straight into the hash, one Write
+// per field: the unbuffered byte stream the golden digests pin.
+type refEncoder struct{ h hash.Hash }
+
+func (r refEncoder) u64(v uint64) { r.h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+
+func (r refEncoder) str(s string) {
+	r.u64(uint64(len(s)))
+	io.WriteString(r.h, s)
+}
+
+func (r refEncoder) digest(d Digest) {
+	r.u64(uint64(len(d)))
+	r.h.Write(d[:])
+}
+
+func (r refEncoder) program(p *isa.Program) {
+	r.u64(uint64(len(p.Code)))
+	for _, in := range p.Code {
+		for _, v := range []uint64{uint64(in.Op), uint64(in.Dst), uint64(in.Src1),
+			uint64(in.Src2), uint64(in.Src3), uint64(in.Imm)} {
+			r.u64(v)
+		}
+	}
+	r.u64(uint64(len(p.Init)))
+	for _, mi := range p.Init {
+		r.u64(mi.Addr)
+		r.u64(mi.Data)
+	}
+}
+
+func (r refEncoder) sum() Digest {
+	var d Digest
+	r.h.Sum(d[:0])
+	return d
+}
+
+// TestEncoderMatchesUnbuffered drives the buffered encoder and the
+// unbuffered reference with one seeded sequence of u64, str and digest
+// calls. String lengths run from 0 to three buffers, so strings start
+// and end on both sides of a flush and u64s land misaligned after them.
+func TestEncoderMatchesUnbuffered(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := &encoder{h: sha256.New()}
+		ref := refEncoder{sha256.New()}
+		for i := 0; i < 200; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				v := rng.Uint64()
+				e.u64(v)
+				ref.u64(v)
+			case 1:
+				b := make([]byte, rng.Intn(3*len(e.buf)+1))
+				rng.Read(b)
+				e.str(string(b))
+				ref.str(string(b))
+			case 2:
+				var d Digest
+				rng.Read(d[:])
+				e.digest(d)
+				ref.digest(d)
+			}
+		}
+		if got, want := e.sum(), ref.sum(); got != want {
+			t.Errorf("seed %d: buffered %s, unbuffered %s", seed, got, want)
+		}
+	}
+}
+
+// TestProgramEncodingMatchesUnbuffered compares the program encoding
+// with the unbuffered reference on random programs from a few
+// instructions to several buffers long.
+func TestProgramEncodingMatchesUnbuffered(t *testing.T) {
+	for _, blocks := range []int{0, 1, 3, 12, 60, 400} {
+		opt := proggen.DefaultOptions()
+		opt.Blocks = blocks
+		p := proggen.Generate(int64(blocks)+1, opt)
+		e := &encoder{h: sha256.New()}
+		ref := refEncoder{sha256.New()}
+		e.program(p)
+		ref.program(p)
+		if got, want := e.sum(), ref.sum(); got != want {
+			t.Errorf("%d blocks (%d instructions): buffered %s, unbuffered %s",
+				blocks, len(p.Code), got, want)
+		}
 	}
 }

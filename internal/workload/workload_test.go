@@ -261,6 +261,36 @@ func TestWorkloadValidate(t *testing.T) {
 	}
 }
 
+// TestWorkloadValidateRejectsInvalidLiteral: generated programs come
+// from Builder.Build and skip the re-walk, but a hand-built Program
+// literal in either slot still gets the full check.
+func TestWorkloadValidateRejectsInvalidLiteral(t *testing.T) {
+	good, err := Synthetic(SyntheticConfig{Units: 50, UnitLen: 20, Regions: 10, RegionLen: 30, AccelLatency: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("generated workload rejected: %v", err)
+	}
+	bad := map[string]*isa.Program{
+		"branch-out-of-range": {Code: []isa.Instruction{
+			{Op: isa.OpBeq, Src1: isa.R(1), Src2: isa.R(2), Imm: 99},
+			{Op: isa.OpHalt},
+		}},
+		"no-halt": {Code: []isa.Instruction{{Op: isa.OpNop}}},
+	}
+	for name, p := range bad {
+		badBase, badAccel := *good, *good
+		badBase.Baseline, badAccel.Accelerated = p, p
+		if err := badBase.Validate(); err == nil {
+			t.Errorf("%s: invalid baseline accepted", name)
+		}
+		if err := badAccel.Validate(); err == nil {
+			t.Errorf("%s: invalid accelerated program accepted", name)
+		}
+	}
+}
+
 func TestTCMallocDeviceMatchesPrefill(t *testing.T) {
 	// The TCA-side allocator prefill must cover the benchmark's maximum
 	// live count for every class.
