@@ -8,6 +8,16 @@ cd "$(dirname "$0")/.."
 echo "==> go vet ./..."
 go vet ./...
 
+# Every Go source file, testdata fixtures included, must be gofmt-clean.
+# Dot directories (.git, the benchmark's .bench_build) are skipped.
+echo "==> gofmt -l"
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "==> simlint ./... (determinism & invariant rules, see LINT.md)"
 go run ./cmd/simlint -baseline lint_baseline.json ./...
 
