@@ -107,8 +107,10 @@ func (p *Pool) worker() {
 		}
 		it := heap.Pop(&p.queue).(poolItem)
 		p.mu.Unlock()
-		it.job(false)
+		// Count before running: the job answers its caller, and a
+		// metrics read that caller makes next must already see it.
 		p.executed.Add(1)
+		it.job(false)
 	}
 }
 
