@@ -40,6 +40,11 @@ import (
 	"repro/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open without limit. Request bodies are capped by the server itself.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(realMain())
 }
@@ -90,7 +95,7 @@ func realMain() int {
 	}
 	fmt.Fprintln(os.Stderr, "scenariod: listening on", bound)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Program is an executable unit: a code sequence plus an initial memory
@@ -20,10 +21,24 @@ type Program struct {
 	//lint:exempt-field R8 Program.Labels diagnostics only; execution and identity depend on Code/Init alone
 	Labels map[string]int
 
-	// validated marks a program returned by Builder.Build. Build sets it
-	// before the program is shared, and nothing writes through a built
-	// program afterwards, so the check Build ran still holds.
-	validated bool
+	// memo is set by Builder.Build and nil on a hand-built literal. A
+	// program that carries one passed Validate in Build, and nothing
+	// writes through a built program afterwards, so that check and the
+	// values memo derives from Code and Init stay true for the
+	// program's life, and are collected with it. It is a pointer so
+	// that copying a Program value copies no lock.
+	memo *programMemo
+}
+
+// programMemo holds the values a built program derives from its own
+// content, each computed at most once and safe to read from any number
+// of goroutines.
+type programMemo struct {
+	fpOnce sync.Once
+	fp     uint64
+
+	digestOnce sync.Once
+	digest     [32]byte
 }
 
 // MemInit seeds one 8-byte memory word before the program runs.
@@ -44,13 +59,64 @@ func (p *Program) NewMemoryImage() *Memory {
 	return m
 }
 
+// Fingerprint returns an FNV-1a hash of the program's code and initial
+// memory image. Checkpoints record it to refuse a resume under another
+// program, and checkpoint blobs on disk carry it, so the bytes it mixes
+// are fixed. A built program computes it once; a literal on every call,
+// so editing a literal's Code changes what it returns.
+func (p *Program) Fingerprint() uint64 {
+	if p.memo == nil {
+		return p.fingerprint()
+	}
+	p.memo.fpOnce.Do(func() { p.memo.fp = p.fingerprint() })
+	return p.memo.fp
+}
+
+func (p *Program) fingerprint() uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime
+			v >>= 8
+		}
+	}
+	mix(uint64(len(p.Code)))
+	for _, in := range p.Code {
+		mix(uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<16 | uint64(in.Src2)<<24 | uint64(in.Src3)<<32)
+		mix(uint64(in.Imm))
+	}
+	mix(uint64(len(p.Init)))
+	for _, mi := range p.Init {
+		mix(mi.Addr)
+		mix(mi.Data)
+	}
+	return h
+}
+
+// MemoDigest returns sum(p). A built program calls sum once and keeps
+// the result; a literal calls it on every call. A program has one such
+// slot, so every caller must pass the same sum: the scenario layer's
+// program sub-digest owns it.
+func (p *Program) MemoDigest(sum func(*Program) [32]byte) [32]byte {
+	if p.memo == nil {
+		return sum(p)
+	}
+	p.memo.digestOnce.Do(func() { p.memo.digest = sum(p) })
+	return p.memo.digest
+}
+
 // Validate checks structural invariants: branch targets in range, register
 // classes consistent with opcodes, and a reachable halt. It returns the
 // first violation found. A program from Builder.Build passed this check
 // there and is immutable, so it returns nil at once; a hand-built
 // Program literal gets the full walk.
 func (p *Program) Validate() error {
-	if p.validated {
+	if p.memo != nil {
 		return nil
 	}
 	n := len(p.Code)
@@ -174,10 +240,23 @@ func (p *Program) Disassemble() string {
 	return b.String()
 }
 
+// The Builder emits code into chunks that double from firstChunk up to
+// maxChunk instructions. Emitted instructions are never copied while
+// the program grows, as they would be each time one flat slice
+// outgrew its capacity; Build copies them once, into the exact-size
+// Code slice. A small program pays for one small chunk.
+const (
+	firstChunk = 128
+	maxChunk   = 8192
+)
+
 // Builder assembles a Program with symbolic labels. Forward references are
 // resolved at Build time. The zero value is not usable; call NewBuilder.
 type Builder struct {
-	code   []Instruction
+	// chunks hold the code emitted so far, n instructions in all; every
+	// chunk but the last is full.
+	chunks [][]Instruction
+	n      int
 	labels map[string]int
 	// fixups[i] names the label the branch at index i targets.
 	fixups map[int]string
@@ -195,7 +274,7 @@ func NewBuilder() *Builder {
 
 // Len returns the number of instructions emitted so far (the index of the
 // next instruction).
-func (b *Builder) Len() int { return len(b.code) }
+func (b *Builder) Len() int { return b.n }
 
 // Label binds name to the next instruction index.
 func (b *Builder) Label(name string) {
@@ -203,13 +282,23 @@ func (b *Builder) Label(name string) {
 		b.errs = append(b.errs, fmt.Errorf("isa: duplicate label %q", name))
 		return
 	}
-	b.labels[name] = len(b.code)
+	b.labels[name] = b.n
 }
 
 // Emit appends a raw instruction and returns its index.
 func (b *Builder) Emit(in Instruction) int {
-	b.code = append(b.code, in)
-	return len(b.code) - 1
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(b.chunks[last]), maxChunk)
+		}
+		b.chunks = append(b.chunks, make([]Instruction, 0, size))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], in)
+	b.n++
+	return b.n - 1
 }
 
 // InitWord seeds the initial memory image with an 8-byte word.
@@ -299,14 +388,16 @@ func (b *Builder) branch(op Op, s1, s2 Reg, label string) {
 	b.fixups[idx] = label
 }
 
-// Build resolves labels and returns the validated program, marked so that
-// later Validate calls skip the walk.
+// Build resolves labels and returns the validated program with its memo,
+// so later Validate calls skip the walk.
 func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	code := make([]Instruction, len(b.code))
-	copy(code, b.code)
+	code := make([]Instruction, 0, b.n)
+	for _, c := range b.chunks {
+		code = append(code, c...)
+	}
 	idxs := make([]int, 0, len(b.fixups))
 	for idx := range b.fixups {
 		idxs = append(idxs, idx)
@@ -328,7 +419,7 @@ func (b *Builder) Build() (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p.validated = true
+	p.memo = new(programMemo)
 	return p, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"hash"
 	"io"
 	"math"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -152,30 +151,21 @@ func (e *encoder) tlb(c mem.TLBConfig) {
 	e.int(c.WalkLatency)
 }
 
-// progDigests memoizes program-section digests by pointer. A built
-// *isa.Program is immutable (the Builder returns a fresh value and
-// nothing downstream writes through it), so the pointer stands for the
-// content for the life of the process; structurally equal programs at
-// different addresses just hash the same content twice. Memoization
-// therefore changes digest cost, never digest value.
-var progDigests sync.Map // *isa.Program -> Digest
-
 // programRef writes the program's own content address in place of its
-// full encoding, computing that sub-digest once per distinct program.
-// Sweeps re-digest the same multi-megabyte instruction stream once per
-// variant otherwise — with warm-checkpoint forking eliminating the
-// re-simulation, the repeated SHA-256 of the shared program was the
-// next thing dominating forked sweeps.
+// full encoding. A built program keeps that sub-digest in its memo, so
+// sweeps that digest one multi-megabyte program once per variant hash
+// it once; a hand-built literal is hashed on every call. Memoization
+// changes digest cost, never digest value.
 func (e *encoder) programRef(p *isa.Program) {
-	if d, ok := progDigests.Load(p); ok {
-		e.digest(d.(Digest))
-		return
-	}
+	e.digest(p.MemoDigest(programDigest))
+}
+
+// programDigest is the SHA-256 of the program's canonical encoding,
+// salted like every digest by SchemeVersion.
+func programDigest(p *isa.Program) [32]byte {
 	sub := newEncoder("program")
 	sub.program(p)
-	d := sub.sum()
-	progDigests.Store(p, d)
-	e.digest(d)
+	return sub.sum()
 }
 
 // digest writes a nested content address, length-prefixed like every

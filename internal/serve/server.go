@@ -54,10 +54,10 @@ type Server struct {
 	families map[scenario.Digest]*family
 
 	// workloads memoizes built workloads by canonical spec so duplicate
-	// submissions share one *workload.Workload — and with it the
-	// program pointers whose digests the scenario layer memoizes per
-	// pointer. It grows with the number of *distinct* specs the daemon
-	// has seen, exactly like the store itself.
+	// submissions share one *workload.Workload: a repeat skips the
+	// rebuild, and its programs' memoized digests are already taken.
+	// It grows with the number of *distinct* specs the daemon has seen,
+	// like the store's memory levels, and nothing evicts from it.
 	wlMu      sync.Mutex
 	workloads map[string]*wlEntry
 
@@ -292,9 +292,10 @@ type wlEntry struct {
 // building each distinct spec exactly once per server. The key
 // re-marshals the parsed struct (not the request's raw bytes), which
 // normalizes field order and whitespace: every spelling of the same
-// spec shares one built workload — and therefore one program pointer,
-// which keeps the scenario layer's per-pointer program-digest
-// memoization effective and bounded in a long-running daemon.
+// spec shares one built workload, so it is built and its programs
+// digested once. A program's memoized digests live in the program
+// itself, so this map only saves rebuilds; dropping an entry would let
+// its workload be collected.
 func (s *Server) buildWorkload(ws WorkloadSpec) (*workload.Workload, error) {
 	b, err := json.Marshal(ws)
 	if err != nil {
@@ -344,17 +345,27 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodePost parses a JSON POST body, rejecting other methods and
-// unknown fields (a typoed field silently changing the sweep would be
-// worse than an error).
+// maxRequestBytes caps a request body. The largest legitimate request,
+// a measure spec with a full core config, is a few kilobytes; the cap
+// keeps one client from making the daemon buffer an unbounded body.
+const maxRequestBytes = 1 << 20
+
+// decodePost parses a JSON POST body, rejecting other methods, bodies
+// over maxRequestBytes (413) and unknown fields (a typoed field silently
+// changing the sweep would be worse than an error).
 func decodePost[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s needs POST", r.URL.Path))
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body over %d bytes", tooBig.Limit))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request: %w", err))
 		return false
 	}

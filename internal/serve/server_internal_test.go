@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,6 +334,50 @@ func TestDecodeValidation(t *testing.T) {
 	}
 	if s.pool.Metrics().Submitted != 0 {
 		t.Error("invalid requests reached the pool")
+	}
+}
+
+// TestOversizeBody413: a body over maxRequestBytes is refused with 413
+// and the usual JSON error before any scheduling, and the daemon goes
+// on serving: the next normal request succeeds.
+func TestOversizeBody413(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var rr RunRequest
+	if err := json.Unmarshal(testRunBody(t, 4), &rr); err != nil {
+		t.Fatal(err)
+	}
+	rr.Program = strings.Repeat("x", 2<<20)
+	big, err := json.Marshal(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er ErrorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want 413", resp.StatusCode)
+	}
+	if decErr != nil || er.Error == "" {
+		t.Errorf("413 body: %q err %v", er.Error, decErr)
+	}
+	if s.pool.Metrics().Submitted != 0 {
+		t.Error("an oversize request reached the pool")
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(testRunBody(t, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("normal request after the oversize one: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -46,9 +46,16 @@ func (o *overlayReader) LoadFloat(addr uint64) float64 {
 // buildOverlay collects the in-flight writes older than ROB position pos,
 // visiting only the writer set (robQueue.writers). Callers guarantee every
 // older store has executed (address and data known) and every older TCA
-// invocation has started, so the overlay is complete.
+// invocation has started, so the overlay is complete. It refills the
+// core's one reader: no device keeps the reader once Invoke returns.
 func (c *Core) buildOverlay(pos int) *overlayReader {
-	o := &overlayReader{base: c.mem, pending: make(map[uint64]uint64)}
+	o := &c.overlay
+	o.base = c.mem
+	if o.pending == nil {
+		o.pending = make(map[uint64]uint64)
+	} else {
+		clear(o.pending)
+	}
 	rob := c.rob
 	// Oldest-first so newer writes overwrite older ones to the same word.
 	for i := rob.next(rob.writers, 0); i >= 0 && i < pos; i = rob.next(rob.writers, i+1) {

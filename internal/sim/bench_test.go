@@ -108,3 +108,37 @@ func BenchmarkRunMatMulHP(b *testing.B) {
 		b.ReportMetric(float64(instr)/sec/1e6, "Minstr/s")
 	}
 }
+
+// BenchmarkCheckpointCodec times one encode and one decode of a heap
+// workload's warm checkpoint: the core paused at its first accelerator
+// fetch after a 20k-instruction warmup, as the scenario store snapshots
+// a warmup family. The store writes this blob to disk once and every
+// fork off it decodes it. SetBytes counts the encoded blob, so the MB/s
+// column is codec throughput for the round trip.
+func BenchmarkCheckpointCodec(b *testing.B) {
+	w, err := workload.Heap(workload.HeapConfig{
+		Operations: 600, FillerPerCall: 20, Prefill: 512, Seed: 1, WarmupFiller: 20_000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	core, err := New(HighPerfConfig().WarmupCanonical(), w.Accelerated, w.NewDevice())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if paused, err := core.RunToAccelFetch(2_000_000_000); err != nil || !paused {
+		b.Fatalf("warmup did not pause at an accelerator fetch (err %v)", err)
+	}
+	ck, err := core.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(ck.MarshalBinary())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalCheckpoint(ck.MarshalBinary()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

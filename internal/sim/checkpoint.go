@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bpred"
 	"repro/internal/isa"
@@ -42,8 +41,8 @@ type Checkpoint struct {
 	// A resume config must match it — or, when SuffixFree is set, match it
 	// up to the warmup-irrelevant suffix fields (Config.WarmupCanonical).
 	Config Config
-	// ProgHash fingerprints the program (code and initial memory image);
-	// resuming under a different program is rejected.
+	// ProgHash is the program's Fingerprint (code and initial memory
+	// image); resuming under a different program is rejected.
 	ProgHash uint64
 
 	Now             int64
@@ -107,51 +106,6 @@ type Checkpoint struct {
 	DevicePristine bool
 }
 
-// progHashes memoizes program fingerprints by pointer. Built programs
-// are immutable, so the pointer stands for the content; memoization
-// only avoids re-walking a multi-megabyte instruction stream on every
-// Checkpoint/NewFromCheckpoint of the same program.
-var progHashes sync.Map // *isa.Program -> uint64
-
-// progHashCached returns the memoized fingerprint, computing it on
-// first sight of a program.
-func progHashCached(p *isa.Program) uint64 {
-	if h, ok := progHashes.Load(p); ok {
-		return h.(uint64)
-	}
-	h := progHash(p)
-	progHashes.Store(p, h)
-	return h
-}
-
-// progHash fingerprints a program with FNV-1a over its code and initial
-// memory image.
-func progHash(p *isa.Program) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mix(uint64(len(p.Code)))
-	for _, in := range p.Code {
-		mix(uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<16 | uint64(in.Src2)<<24 | uint64(in.Src3)<<32)
-		mix(uint64(in.Imm))
-	}
-	mix(uint64(len(p.Init)))
-	for _, mi := range p.Init {
-		mix(mi.Addr)
-		mix(mi.Data)
-	}
-	return h
-}
-
 // Checkpoint captures the core's complete state at the current cycle
 // boundary. It fails when the attached device has been invoked but does not
 // implement isa.AccelSnapshotter (its state could not be reproduced on
@@ -159,7 +113,7 @@ func progHash(p *isa.Program) uint64 {
 func (c *Core) Checkpoint() (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Config:          c.cfg.Canonical(),
-		ProgHash:        progHashCached(c.prog),
+		ProgHash:        c.prog.Fingerprint(),
 		Now:             c.now,
 		Seq:             c.seq,
 		Halted:          c.halted,
@@ -241,7 +195,7 @@ func NewFromCheckpoint(cfg Config, prog *isa.Program, dev isa.AccelDevice, ck *C
 	if !ck.compatibleWith(cfg) {
 		return nil, fmt.Errorf("sim: resume config incompatible with checkpoint (taken under %q-canonical form; post-warmup fields may differ only for suffix-free snapshots)", ck.Config.Name)
 	}
-	if h := progHashCached(prog); h != ck.ProgHash {
+	if h := prog.Fingerprint(); h != ck.ProgHash {
 		return nil, fmt.Errorf("sim: resume program hash %#x does not match checkpoint %#x", h, ck.ProgHash)
 	}
 	c, err := New(cfg, prog, dev)

@@ -124,6 +124,11 @@ type Core struct {
 	cycleHeldAccel *robEntry
 	cycleConfWait  bool
 
+	// overlay is the memory view buildOverlay refills for each
+	// accelerator invocation; like the cycle trackers it is dead between
+	// cycles, so checkpoints leave it out.
+	overlay overlayReader
+
 	stats Stats
 }
 

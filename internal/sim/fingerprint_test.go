@@ -24,8 +24,8 @@ func TestProgramFingerprintGolden(t *testing.T) {
 		got  uint64
 		want uint64
 	}{
-		{"baseline", progHash(w.Baseline), 0x88fed787d9fdc06e},
-		{"accelerated", progHash(w.Accelerated), 0x9c57dd4e83d789e9},
+		{"baseline", w.Baseline.Fingerprint(), 0x88fed787d9fdc06e},
+		{"accelerated", w.Accelerated.Fingerprint(), 0x9c57dd4e83d789e9},
 	} {
 		if c.got != c.want {
 			t.Errorf("heap %s fingerprint = %#x, want %#x", c.name, c.got, c.want)

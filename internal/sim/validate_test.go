@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/isa"
@@ -27,20 +29,28 @@ func TestNewRejectsInvalidLiteral(t *testing.T) {
 
 // TestBuiltProgramSharedAcrossCores: one built program, validated and
 // handed to New from several goroutines at once, runs race-free and
-// identically on every core. Build writes the validated mark before the
-// program is shared; everything after only reads it.
+// identically on every core, and the goroutines race to take its first
+// fingerprint and first memoized digest. Build writes the memo before the
+// program is shared; each memoized value is computed once, whoever asks
+// first, and equals what a literal with the same content computes.
 func TestBuiltProgramSharedAcrossCores(t *testing.T) {
 	prog := sumProgram(300)
-	if err := prog.Validate(); err != nil {
-		t.Fatal(err)
+	var sums atomic.Int32
+	sum := func(p *isa.Program) [32]byte {
+		sums.Add(1)
+		return sha256.Sum256([]byte(p.Disassemble()))
 	}
 	results := make([]*Result, 4)
+	fps := make([]uint64, len(results))
+	digests := make([][32]byte, len(results))
 	errs := make([]error, len(results))
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fps[i] = prog.Fingerprint()
+			digests[i] = prog.MemoDigest(sum)
 			if errs[i] = prog.Validate(); errs[i] != nil {
 				return
 			}
@@ -60,5 +70,55 @@ func TestBuiltProgramSharedAcrossCores(t *testing.T) {
 	}
 	for i := 1; i < len(results); i++ {
 		assertSameResult(t, "shared program", results[0], results[i])
+	}
+	if n := sums.Load(); n != 1 {
+		t.Errorf("memoized digest computed %d times, want 1", n)
+	}
+	lit := &isa.Program{Code: prog.Code, Init: prog.Init, Labels: prog.Labels}
+	wantDigest := sha256.Sum256([]byte(lit.Disassemble()))
+	for i := range results {
+		if fps[i] != lit.Fingerprint() {
+			t.Errorf("goroutine %d: fingerprint %#x, literal %#x", i, fps[i], lit.Fingerprint())
+		}
+		if digests[i] != wantDigest {
+			t.Errorf("goroutine %d: memoized digest differs from the literal's", i)
+		}
+	}
+}
+
+// TestResumeRejectsEditedLiteral: a hand-built literal has no memo, so
+// its fingerprint follows edits to its Code. A resume under the literal
+// as checkpointed succeeds; after an edit it is refused.
+func TestResumeRejectsEditedLiteral(t *testing.T) {
+	built := sumProgram(300)
+	lit := &isa.Program{
+		Code: append([]isa.Instruction(nil), built.Code...),
+		Init: append([]isa.MemInit(nil), built.Init...),
+	}
+	cfg := HighPerfConfig()
+	core, err := New(cfg, lit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunTo(1_000_000, 100); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := core.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.ProgHash != built.Fingerprint() {
+		t.Errorf("literal checkpointed with fingerprint %#x, built program has %#x", ck.ProgHash, built.Fingerprint())
+	}
+	if _, err := NewFromCheckpoint(cfg, lit, nil, ck); err != nil {
+		t.Fatalf("unedited literal: %v", err)
+	}
+	for i, in := range lit.Code {
+		if in.Op == isa.OpMovI && in.Imm == 0x1000 {
+			lit.Code[i].Imm = 0x2000
+		}
+	}
+	if _, err := NewFromCheckpoint(cfg, lit, nil, ck); err == nil {
+		t.Error("resume accepted a literal edited after its checkpoint")
 	}
 }
