@@ -116,23 +116,7 @@ func BenchmarkRunMatMulHP(b *testing.B) {
 // fork off it decodes it. SetBytes counts the encoded blob, so the MB/s
 // column is codec throughput for the round trip.
 func BenchmarkCheckpointCodec(b *testing.B) {
-	w, err := workload.Heap(workload.HeapConfig{
-		Operations: 600, FillerPerCall: 20, Prefill: 512, Seed: 1, WarmupFiller: 20_000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	core, err := New(HighPerfConfig().WarmupCanonical(), w.Accelerated, w.NewDevice())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if paused, err := core.RunToAccelFetch(2_000_000_000); err != nil || !paused {
-		b.Fatalf("warmup did not pause at an accelerator fetch (err %v)", err)
-	}
-	ck, err := core.Checkpoint()
-	if err != nil {
-		b.Fatal(err)
-	}
+	ck := heapWarmCheckpoint(b)
 	b.SetBytes(int64(len(ck.MarshalBinary())))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -141,4 +125,27 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// heapWarmCheckpoint is the checkpoint BenchmarkCheckpointCodec times.
+func heapWarmCheckpoint(tb testing.TB) *Checkpoint {
+	tb.Helper()
+	w, err := workload.Heap(workload.HeapConfig{
+		Operations: 600, FillerPerCall: 20, Prefill: 512, Seed: 1, WarmupFiller: 20_000,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	core, err := New(HighPerfConfig().WarmupCanonical(), w.Accelerated, w.NewDevice())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if paused, err := core.RunToAccelFetch(2_000_000_000); err != nil || !paused {
+		tb.Fatalf("warmup did not pause at an accelerator fetch (err %v)", err)
+	}
+	ck, err := core.Checkpoint()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ck
 }

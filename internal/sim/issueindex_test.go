@@ -95,16 +95,7 @@ func stepChecked(t *testing.T, c ckptCase, resumeAt int64) *Result {
 // checkpoint encode/decode/resume. Each stepped run must also finish
 // identically to an uninterrupted one.
 func TestIssueIndexInvariant(t *testing.T) {
-	var cases []ckptCase
-	for _, sw := range standardWorkloads(t) {
-		cases = append(cases, ckptCase{name: sw.name + "-baseline", cfg: sw.cfg, prog: sw.w.Baseline})
-		for _, m := range accel.AllModes {
-			cfg := sw.cfg
-			cfg.Mode = m
-			cases = append(cases, ckptCase{name: fmt.Sprintf("%s-%s", sw.name, m),
-				cfg: cfg, prog: sw.w.Accelerated, dev: sw.w.NewDevice})
-		}
-	}
+	cases := workloadModeCases(t)
 	partial := HighPerfConfig()
 	partial.Mode = accel.LT
 	partial.PartialSpeculation = true
@@ -128,6 +119,23 @@ func TestIssueIndexInvariant(t *testing.T) {
 	if squashed == 0 || accelSquashed == 0 {
 		t.Errorf("no squash exercised the indexes (squashed %d, accel squashed %d)", squashed, accelSquashed)
 	}
+}
+
+// workloadModeCases is every standard workload as a baseline run and in
+// each of the four modes.
+func workloadModeCases(t *testing.T) []ckptCase {
+	t.Helper()
+	var cases []ckptCase
+	for _, sw := range standardWorkloads(t) {
+		cases = append(cases, ckptCase{name: sw.name + "-baseline", cfg: sw.cfg, prog: sw.w.Baseline})
+		for _, m := range accel.AllModes {
+			cfg := sw.cfg
+			cfg.Mode = m
+			cases = append(cases, ckptCase{name: fmt.Sprintf("%s-%s", sw.name, m),
+				cfg: cfg, prog: sw.w.Accelerated, dev: sw.w.NewDevice})
+		}
+	}
+	return cases
 }
 
 // TestROBSlotWalks checks next and prev against a linear walk over random
