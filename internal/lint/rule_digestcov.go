@@ -50,7 +50,7 @@ func checkDigestCoverage(pass *Pass) {
 			if !ok || fd.Recv == nil {
 				continue
 			}
-			if recvTypeName(fd) == "encoder" || fd.Name.Name == "Digest" {
+			if r := recvTypeName(fd); r == "encoder" || r == "codec" || fd.Name.Name == "Digest" {
 				consumers = append(consumers, fd)
 			}
 		}

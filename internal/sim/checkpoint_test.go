@@ -47,9 +47,9 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 		t.Errorf("%s: stats diverge from uninterrupted run:\nuninterrupted:\n%v\n%s:\n%v",
 			label, want.Stats, label, got.Stats)
 	}
-	var ew, eg encoder
-	ew.stats(want.Stats)
-	eg.stats(got.Stats)
+	var ew, eg codec
+	ew.stats(&want.Stats)
+	eg.stats(&got.Stats)
 	if !bytes.Equal(ew.buf, eg.buf) {
 		t.Errorf("%s: encoded stats are not byte-identical to the uninterrupted run", label)
 	}

@@ -4,813 +4,598 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
 // Binary checkpoint codec: fixed-width little-endian fields, length-prefixed
-// slices and strings. The format is self-contained (magic + version header)
-// and encodes literally every field of the Checkpoint — exported identity
-// fields and unexported slab internals alike — so decode(encode(ck)) is
-// deeply equal to ck (asserted by the round-trip test). simlint R8 audits
-// the encoder methods below for exported-field exhaustiveness the same way
-// it audits the scenario digest encoder.
+// slices and strings, behind a magic and version header. One codec walks
+// each persisted type once in either direction — encoding appends every
+// field it visits, decoding overwrites it from the input — so no field can
+// be written one way and forgotten the other. The walk covers every field
+// of the Checkpoint, exported identity fields and unexported slab internals
+// alike, so decode(encode(ck)) is deeply equal to ck; and decoding accepts
+// only canonical bytes, so every blob that decodes re-encodes to itself.
+// simlint R8 audits the walk for exported-field exhaustiveness.
 
 const (
 	ckptMagic = 0x74636b70_73696d31 // "tckp" "sim1"
-	// ckptVersion bumps whenever the wire layout changes; the scenario
-	// store additionally embeds its SchemeVersion in the blob digest, so
-	// stale cached checkpoints are never decoded against a new layout.
+	// ckptVersion bumps whenever the wire layout changes; a blob of any
+	// other version fails to decode, which the scenario store treats as a
+	// miss.
 	// v2: device-engine statistics (Stats.AccelPhases,
 	// Stats.AccelOverlapCycles) joined the stats frame.
 	ckptVersion = 2
 )
 
-// encoder appends fixed-width little-endian primitives.
-type encoder struct {
+// wordBytes is the width of every fixed-width field but bytes and flags.
+const wordBytes = 8
+
+// codec walks persisted values. Encoding appends to buf. Decoding reads
+// buf from off, overwrites each field it walks, and keeps the first error,
+// after which nothing is left to read and every further field decodes as
+// zero. Reading by offset leaves the buffer's pointer alone, so a read
+// pays no GC write barrier.
+type codec struct {
 	buf []byte
+	off int
+	dec bool
+	err error
 }
 
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) i(v int)      { e.u64(uint64(int64(v))) }
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
+func (k *codec) fail(format string, args ...any) {
+	if k.err == nil {
+		k.err = fmt.Errorf("sim: checkpoint decode: "+format, args...)
+	}
+	k.off = len(k.buf)
+}
 
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
+// left is the number of bytes not yet decoded.
+func (k *codec) left() int { return len(k.buf) - k.off }
+
+// next consumes one word.
+func (k *codec) next() uint64 {
+	if k.left() < wordBytes {
+		k.fail("truncated")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(k.buf[k.off:])
+	k.off += wordBytes
+	return v
+}
+
+// take consumes n bytes.
+func (k *codec) take(n int) []byte {
+	if k.left() < n {
+		k.fail("truncated")
+		return nil
+	}
+	k.off += n
+	return k.buf[k.off-n : k.off]
+}
+
+func (k *codec) u64(v *uint64) {
+	if k.dec {
+		*v = k.next()
 	} else {
-		e.u8(0)
+		k.buf = binary.LittleEndian.AppendUint64(k.buf, *v)
 	}
 }
 
-func (e *encoder) str(s string) {
-	e.i(len(s))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) bytes(b []byte) {
-	e.i(len(b))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) config(c Config) {
-	// Name and NoFastForward are erased by Config.Canonical (Checkpoint
-	// stores the canonical form), as are the cache Names.
-	e.i(c.FetchWidth)
-	e.i(c.DispatchWidth)
-	e.i(c.IssueWidth)
-	e.i(c.CommitWidth)
-	e.i(c.ROBSize)
-	e.i(c.IQSize)
-	e.i(c.LSQSize)
-	e.i(c.FrontEndDepth)
-	e.i(c.CommitDelay)
-	e.i(c.IntALUs)
-	e.i(c.IntMuls)
-	e.i(c.FPUs)
-	e.i(c.MemPorts)
-	e.i(c.IntMulLatency)
-	e.i(c.IntDivLatency)
-	e.i(c.FPAddLatency)
-	e.i(c.FPMulLatency)
-	e.i(c.FMALatency)
-	e.i(c.FPDivLatency)
-	e.u64(uint64(c.Mode))
-	e.bool(c.PartialSpeculation)
-	e.bool(c.ConservativeLoadOrdering)
-	e.str(c.Predictor.Kind)
-	e.i(c.Predictor.TableBits)
-	e.i(c.Predictor.HistBits)
-	e.cacheConfig(c.Memory.L1I)
-	e.cacheConfig(c.Memory.L1D)
-	e.cacheConfig(c.Memory.L2)
-	e.i(c.Memory.DRAM.Latency)
-	e.i(c.Memory.DRAM.CyclesPerLine)
-	e.tlbConfig(c.Memory.DTLB)
-	e.tlbConfig(c.Memory.ITLB)
-	e.bool(c.RecordAccelEvents)
-	e.i(c.PipeTraceLimit)
-}
-
-func (e *encoder) cacheConfig(c mem.CacheConfig) {
-	e.i(c.SizeBytes)
-	e.i(c.Ways)
-	e.i(c.LineBytes)
-	e.i(c.HitLatency)
-	e.i(c.MSHRs)
-	e.bool(c.NextLinePrefetch)
-}
-
-func (e *encoder) tlbConfig(c mem.TLBConfig) {
-	e.i(c.Entries)
-	e.i(c.PageBits)
-	e.i(c.WalkLatency)
-}
-
-func (e *encoder) stats(s Stats) {
-	e.i64(s.Cycles)
-	e.u64(s.Committed)
-	e.u64(s.Fetched)
-	e.u64(s.Squashed)
-	e.u64(s.Branches)
-	e.u64(s.Mispredicts)
-	e.u64(s.Loads)
-	e.u64(s.Stores)
-	e.u64(s.LoadsForwarded)
-	e.u64(s.AccelCommitted)
-	e.u64(s.AccelSquashed)
-	e.i64(s.AccelBusyCycles)
-	e.u64(s.AccelMemOps)
-	e.i64(s.AccelDrainWait)
-	e.i64(s.AccelConfidenceWait)
-	e.u64(s.AccelPhases)
-	e.i64(s.AccelOverlapCycles)
-	e.i64(s.DispatchStalls.Barrier)
-	e.i64(s.DispatchStalls.ROBFull)
-	e.i64(s.DispatchStalls.IQFull)
-	e.i64(s.DispatchStalls.LSQFull)
-	e.i64(s.DispatchStalls.FrontEnd)
-	e.i64(s.ROBOccupancySum)
-	e.i64(s.FastForwardedCycles)
-	e.i64(s.FastForwardJumps)
-	e.i(len(s.AccelEvents))
-	for _, ev := range s.AccelEvents {
-		e.u64(ev.Seq)
-		e.i64(ev.Dispatch)
-		e.i64(ev.Start)
-		e.i64(ev.Done)
-		e.i64(ev.Commit)
-	}
-	e.i(len(s.PipeTrace))
-	for _, ev := range s.PipeTrace {
-		e.u64(ev.Seq)
-		e.i(ev.PC)
-		e.str(ev.Text)
-		e.i64(ev.Dispatch)
-		e.i64(ev.Issue)
-		e.i64(ev.Complete)
-		e.i64(ev.Commit)
-		e.bool(ev.Accel)
+func (k *codec) i64(v *int64) {
+	if k.dec {
+		*v = int64(k.next())
+	} else {
+		k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(*v))
 	}
 }
 
-func (e *encoder) instruction(in isa.Instruction) {
-	e.u8(uint8(in.Op))
-	e.u8(uint8(in.Dst))
-	e.u8(uint8(in.Src1))
-	e.u8(uint8(in.Src2))
-	e.u8(uint8(in.Src3))
-	e.i64(in.Imm)
-}
-
-func (e *encoder) robSlabs(hot []robHot, cold []robEntry) {
-	e.i(len(hot))
-	for i := range hot {
-		h := &hot[i]
-		e.u64(h.seq)
-		e.i64(h.readyCycle)
-		e.u8(uint8(h.op))
-		e.u8(uint8(h.state))
-		e.u8(h.pendMask)
-		e.i64(int64(h.wakeUses))
-	}
-	for i := range cold {
-		c := &cold[i]
-		e.i(c.pc)
-		e.instruction(c.in)
-		e.i64(c.dispatchCycle)
-		e.i64(c.issueCycle)
-		for s := range c.srcs {
-			e.u64(c.srcs[s].producer)
-			e.u64(c.srcs[s].value)
-		}
-		e.u64(c.val)
-		e.bool(c.predTaken)
-		e.bool(c.predConfident)
-		e.bool(c.actualTaken)
-		e.i(c.nextPC)
-		e.bool(c.mispredict)
-		e.bool(c.addrKnown)
-		e.u64(c.addr)
-		e.u64(c.storeData)
-		e.bool(c.forwarded)
-		e.bool(c.accelStarted)
-		e.bool(c.accelHasMark)
-		e.i(c.accelMark)
-		e.i(c.storeOff)
-		e.i(c.storeCount)
-		e.i(c.accelMemOps)
-		e.i64(c.accelStart)
-		e.i64(c.accelHeld)
+func (k *codec) int(v *int) {
+	if k.dec {
+		*v = int(int64(k.next()))
+	} else {
+		k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(*v))
 	}
 }
 
-func (e *encoder) memState(s isa.MemoryState) {
-	e.u64(s.Reads)
-	e.u64(s.Writes)
-	e.i(len(s.Pages))
-	for i := range s.Pages {
-		p := &s.Pages[i]
-		e.u64(p.ID)
-		for _, w := range p.Data {
-			e.u64(w)
-		}
+func (k *codec) u8(v *uint8) {
+	if k.dec {
+		*v = k.byte()
+	} else {
+		k.buf = append(k.buf, *v)
 	}
 }
 
-func (e *encoder) cacheState(s mem.CacheState) {
-	e.u64(s.Stamp)
-	e.u64(s.Stats.Accesses)
-	e.u64(s.Stats.Hits)
-	e.u64(s.Stats.Misses)
-	e.u64(s.Stats.Writebacks)
-	e.u64(s.Stats.MSHRMerges)
-	e.u64(s.Stats.MSHRStalls)
-	e.u64(s.Stats.Prefetches)
-	e.u64(s.Stats.PrefetchHits)
-	e.i(len(s.Lines))
-	for i := range s.Lines {
-		ln := &s.Lines[i]
-		e.u64(ln.Tag)
-		e.bool(ln.Valid)
-		e.bool(ln.Dirty)
-		e.bool(ln.Prefetched)
-		e.u64(ln.LRU)
+// byte consumes one byte.
+func (k *codec) byte() uint8 {
+	if k.left() < 1 {
+		k.fail("truncated")
+		return 0
 	}
-	e.i(len(s.Fills))
-	for _, f := range s.Fills {
-		e.u64(f.LineAddr)
-		e.i64(f.Done)
-	}
+	k.off++
+	return k.buf[k.off-1]
 }
 
-func (e *encoder) tlbState(s *mem.TLBState) {
-	if s == nil {
-		e.bool(false)
+// bool walks a one-byte flag.
+func (k *codec) bool(v *bool) {
+	if k.dec {
+		*v = k.truth(uint64(k.byte()))
 		return
 	}
-	e.bool(true)
-	e.u64(s.Stamp)
-	e.i64(s.WalkEnd)
-	e.u64(s.Stats.Accesses)
-	e.u64(s.Stats.Misses)
-	e.i(len(s.Pages))
-	for _, p := range s.Pages {
-		e.u64(p.Page)
-		e.u64(p.Stamp)
+	b := uint8(0)
+	if *v {
+		b = 1
+	}
+	k.buf = append(k.buf, b)
+}
+
+// truth decodes a flag, accepting only 0 and 1 so that each value has
+// one encoding.
+func (k *codec) truth(b uint64) bool {
+	if b > 1 {
+		k.fail("flag %d is neither 0 nor 1", b)
+	}
+	return b == 1
+}
+
+// narrow walks an integer held in a type narrower than its word. Decoding
+// rejects a word the type cannot hold rather than truncate it.
+func narrow[T ~uint8 | ~int32](k *codec, v *T) {
+	w := int64(*v)
+	k.i64(&w)
+	if k.dec {
+		if int64(T(w)) != w {
+			k.fail("word %d out of range", w)
+		}
+		*v = T(w)
 	}
 }
 
-func (e *encoder) hierState(s mem.HierarchyState) {
-	if s.L1I != nil {
-		e.bool(true)
-		e.cacheState(*s.L1I)
+// count walks a slice length. Decoding bounds it by how many elements of
+// at least min encoded bytes the rest of the input can hold, so a forged
+// count fails before anything is allocated for it.
+func (k *codec) count(n, min int) int {
+	k.int(&n)
+	if k.dec && (n < 0 || n > k.left()/min) {
+		k.fail("implausible length %d with %d bytes left", n, k.left())
+		return 0
+	}
+	return n
+}
+
+// sized walks the length of *s. Decoding replaces *s with that many zero
+// elements, or nil for none, for the caller's loop to fill.
+func sized[T any](k *codec, s *[]T, min int) {
+	if n := k.count(len(*s), min); k.dec && n > 0 {
+		*s = make([]T, n)
+	}
+}
+
+// present walks whether *p is set. Decoding allocates *p when it is.
+func present[T any](k *codec, p **T) bool {
+	has := *p != nil
+	k.bool(&has)
+	if has && k.dec {
+		*p = new(T)
+	}
+	return has
+}
+
+func (k *codec) str(s *string) {
+	n := k.count(len(*s), 1)
+	if k.dec {
+		*s = string(k.take(n))
 	} else {
-		e.bool(false)
+		k.buf = append(k.buf, *s...)
 	}
-	e.cacheState(s.L1D)
-	e.cacheState(s.L2)
-	e.i64(s.DRAM.NextFree)
-	e.u64(s.DRAM.Stats.Reads)
-	e.u64(s.DRAM.Stats.Writes)
-	e.i64(s.DRAM.Stats.BusyCycles)
-	e.tlbState(s.DTLB)
-	e.tlbState(s.ITLB)
 }
 
-func (e *encoder) predState(s bpred.State) {
-	e.str(s.Kind)
-	e.u64(s.History)
-	e.bytes(s.Table)
-	e.i(len(s.Pairs))
-	for _, p := range s.Pairs {
-		e.u64(p.PC)
-		e.bool(p.Taken)
+func (k *codec) bytes(b *[]byte) {
+	n := k.count(len(*b), 1)
+	if k.dec {
+		*b = append([]byte(nil), k.take(n)...)
+	} else {
+		k.buf = append(k.buf, *b...)
 	}
+}
+
+func (k *codec) int64s(s *[]int64) {
+	sized(k, s, wordBytes)
+	for i := range *s {
+		k.i64(&(*s)[i])
+	}
+}
+
+// Minimum encoded sizes of slice elements, measured by walking a zero
+// element, bound the counts a decoder accepts.
+var (
+	robMin     = walkedLen(func(k *codec) { k.robHot(new(robHot)); k.robEntry(new(robEntry)) })
+	storeMin   = walkedLen(func(k *codec) { k.store(new(isa.AccelStore)) })
+	fetchedMin = walkedLen(func(k *codec) { k.fetched(new(fetchedInst)) })
+	compMin    = walkedLen(func(k *codec) { k.comp(new(compRecord)) })
+	eventMin   = walkedLen(func(k *codec) { k.accelEvent(new(AccelEvent)) })
+	pipeMin    = walkedLen(func(k *codec) { k.pipeEvent(new(PipeEvent)) })
+	pageMin    = walkedLen(func(k *codec) { k.page(new(isa.PageState)) })
+	lineMin    = walkedLen(func(k *codec) { k.line(new(mem.CacheLineState)) })
+	fillMin    = walkedLen(func(k *codec) { k.fill(new(mem.FillState)) })
+	tlbPageMin = walkedLen(func(k *codec) { k.tlbPage(new(mem.TLBPageState)) })
+	pairMin    = walkedLen(func(k *codec) { k.pair(new(bpred.PredictorPair)) })
+)
+
+func walkedLen(walk func(*codec)) int {
+	var k codec
+	walk(&k)
+	return len(k.buf)
 }
 
 // MarshalBinary serializes the checkpoint.
 func (ck *Checkpoint) MarshalBinary() []byte {
-	var e encoder
-	e.checkpoint(ck)
-	return e.buf
-}
-
-func (e *encoder) checkpoint(ck *Checkpoint) {
-	e.u64(ckptMagic)
-	e.u64(ckptVersion)
-	e.config(ck.Config)
-	e.u64(ck.ProgHash)
-	e.i64(ck.Now)
-	e.u64(ck.Seq)
-	e.bool(ck.Halted)
-	e.i64(ck.LastCommitCycle)
-	e.bool(ck.SawAccelFetch)
-	e.bool(ck.SuffixFree)
-	for _, v := range ck.ARF {
-		e.u64(v)
-	}
-	for _, rn := range ck.Rename {
-		e.bool(rn.Valid)
-		e.u64(rn.Seq)
-	}
-	e.robSlabs(ck.ROBHot, ck.ROBCold)
-	e.i(len(ck.Arena))
-	for _, st := range ck.Arena {
-		e.u64(st.Addr)
-		e.u64(st.Data)
-	}
-	e.i(ck.LiveStores)
-	e.i(ck.IQCount)
-	e.i(ck.LSQCount)
-	e.i(ck.IssuedCount)
-	e.i(len(ck.FetchQ))
-	for i := range ck.FetchQ {
-		f := &ck.FetchQ[i]
-		e.i(f.pc)
-		e.instruction(f.in)
-		e.bool(f.predTaken)
-		e.bool(f.predConfident)
-		e.i64(f.availAt)
-	}
-	e.i(ck.FetchPC)
-	e.i64(ck.FetchResumeAt)
-	e.bool(ck.FetchStopped)
-	e.i64(ck.CurFetchLine)
-	e.u64(ck.BarrierSeq)
-	e.bool(ck.BarrierActive)
-	for cl := range ck.FreeUnits {
-		e.i(len(ck.FreeUnits[cl]))
-		for _, v := range ck.FreeUnits[cl] {
-			e.i64(v)
-		}
-	}
-	e.i(len(ck.Ports))
-	for _, v := range ck.Ports {
-		e.i64(v)
-	}
-	e.i64(ck.TCABusyUntil)
-	e.i(len(ck.Pend))
-	for _, r := range ck.Pend {
-		e.i64(r.cycle)
-		e.u64(r.seq)
-	}
-	e.stats(ck.Stats)
-	e.memState(ck.Mem)
-	e.hierState(ck.Hier)
-	e.predState(ck.Pred)
-	if ck.DeviceState != nil {
-		e.bool(true)
-		e.bytes(ck.DeviceState)
-	} else {
-		e.bool(false)
-	}
-	e.bool(ck.DevicePristine)
-}
-
-// decoder consumes what encoder produced, accumulating the first error.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("sim: checkpoint decode: "+format, args...)
-	}
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail("truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail("truncated")
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-// length decodes a slice length and sanity-bounds it against the remaining
-// input so corrupt blobs fail instead of allocating absurdly.
-func (d *decoder) length() int {
-	n := d.i64()
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n > int64(len(d.buf)) {
-		d.fail("implausible length %d with %d bytes left", n, len(d.buf))
-		return 0
-	}
-	return int(n)
-}
-
-// intv decodes an int-typed scalar (no buffer-length bound).
-func (d *decoder) intv() int { return int(d.i64()) }
-
-func (d *decoder) str() string {
-	n := d.length()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.length()
-	if d.err != nil {
-		return nil
-	}
-	b := append([]byte(nil), d.buf[:n]...)
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *decoder) config() Config {
-	var c Config
-	c.FetchWidth = d.intv()
-	c.DispatchWidth = d.intv()
-	c.IssueWidth = d.intv()
-	c.CommitWidth = d.intv()
-	c.ROBSize = d.intv()
-	c.IQSize = d.intv()
-	c.LSQSize = d.intv()
-	c.FrontEndDepth = d.intv()
-	c.CommitDelay = d.intv()
-	c.IntALUs = d.intv()
-	c.IntMuls = d.intv()
-	c.FPUs = d.intv()
-	c.MemPorts = d.intv()
-	c.IntMulLatency = d.intv()
-	c.IntDivLatency = d.intv()
-	c.FPAddLatency = d.intv()
-	c.FPMulLatency = d.intv()
-	c.FMALatency = d.intv()
-	c.FPDivLatency = d.intv()
-	c.Mode = accel.Mode(d.u64())
-	c.PartialSpeculation = d.bool()
-	c.ConservativeLoadOrdering = d.bool()
-	c.Predictor.Kind = d.str()
-	c.Predictor.TableBits = d.intv()
-	c.Predictor.HistBits = d.intv()
-	c.Memory.L1I = d.cacheConfig()
-	c.Memory.L1D = d.cacheConfig()
-	c.Memory.L2 = d.cacheConfig()
-	c.Memory.DRAM.Latency = d.intv()
-	c.Memory.DRAM.CyclesPerLine = d.intv()
-	c.Memory.DTLB = d.tlbConfig()
-	c.Memory.ITLB = d.tlbConfig()
-	c.RecordAccelEvents = d.bool()
-	c.PipeTraceLimit = d.intv()
-	return c
-}
-
-func (d *decoder) cacheConfig() mem.CacheConfig {
-	var c mem.CacheConfig
-	c.SizeBytes = d.intv()
-	c.Ways = d.intv()
-	c.LineBytes = d.intv()
-	c.HitLatency = d.intv()
-	c.MSHRs = d.intv()
-	c.NextLinePrefetch = d.bool()
-	return c
-}
-
-func (d *decoder) tlbConfig() mem.TLBConfig {
-	var c mem.TLBConfig
-	c.Entries = d.intv()
-	c.PageBits = d.intv()
-	c.WalkLatency = d.intv()
-	return c
-}
-
-func (d *decoder) stats() Stats {
-	var s Stats
-	s.Cycles = d.i64()
-	s.Committed = d.u64()
-	s.Fetched = d.u64()
-	s.Squashed = d.u64()
-	s.Branches = d.u64()
-	s.Mispredicts = d.u64()
-	s.Loads = d.u64()
-	s.Stores = d.u64()
-	s.LoadsForwarded = d.u64()
-	s.AccelCommitted = d.u64()
-	s.AccelSquashed = d.u64()
-	s.AccelBusyCycles = d.i64()
-	s.AccelMemOps = d.u64()
-	s.AccelDrainWait = d.i64()
-	s.AccelConfidenceWait = d.i64()
-	s.AccelPhases = d.u64()
-	s.AccelOverlapCycles = d.i64()
-	s.DispatchStalls.Barrier = d.i64()
-	s.DispatchStalls.ROBFull = d.i64()
-	s.DispatchStalls.IQFull = d.i64()
-	s.DispatchStalls.LSQFull = d.i64()
-	s.DispatchStalls.FrontEnd = d.i64()
-	s.ROBOccupancySum = d.i64()
-	s.FastForwardedCycles = d.i64()
-	s.FastForwardJumps = d.i64()
-	if n := d.length(); n > 0 {
-		s.AccelEvents = make([]AccelEvent, n)
-		for i := range s.AccelEvents {
-			ev := &s.AccelEvents[i]
-			ev.Seq = d.u64()
-			ev.Dispatch = d.i64()
-			ev.Start = d.i64()
-			ev.Done = d.i64()
-			ev.Commit = d.i64()
-		}
-	}
-	if n := d.length(); n > 0 {
-		s.PipeTrace = make([]PipeEvent, n)
-		for i := range s.PipeTrace {
-			ev := &s.PipeTrace[i]
-			ev.Seq = d.u64()
-			ev.PC = d.intv()
-			ev.Text = d.str()
-			ev.Dispatch = d.i64()
-			ev.Issue = d.i64()
-			ev.Complete = d.i64()
-			ev.Commit = d.i64()
-			ev.Accel = d.bool()
-		}
-	}
-	return s
-}
-
-func (d *decoder) instruction() isa.Instruction {
-	var in isa.Instruction
-	in.Op = isa.Op(d.u8())
-	in.Dst = isa.Reg(d.u8())
-	in.Src1 = isa.Reg(d.u8())
-	in.Src2 = isa.Reg(d.u8())
-	in.Src3 = isa.Reg(d.u8())
-	in.Imm = d.i64()
-	return in
-}
-
-func (d *decoder) robSlabs() ([]robHot, []robEntry) {
-	n := d.length()
-	if d.err != nil || n == 0 {
-		return nil, nil
-	}
-	hot := make([]robHot, n)
-	cold := make([]robEntry, n)
-	for i := range hot {
-		h := &hot[i]
-		h.seq = d.u64()
-		h.readyCycle = d.i64()
-		h.op = isa.Op(d.u8())
-		h.state = entryState(d.u8())
-		h.pendMask = d.u8()
-		h.wakeUses = int32(d.i64())
-	}
-	for i := range cold {
-		c := &cold[i]
-		c.pc = d.intv()
-		c.in = d.instruction()
-		c.dispatchCycle = d.i64()
-		c.issueCycle = d.i64()
-		for s := range c.srcs {
-			c.srcs[s].producer = d.u64()
-			c.srcs[s].value = d.u64()
-		}
-		c.val = d.u64()
-		c.predTaken = d.bool()
-		c.predConfident = d.bool()
-		c.actualTaken = d.bool()
-		c.nextPC = d.intv()
-		c.mispredict = d.bool()
-		c.addrKnown = d.bool()
-		c.addr = d.u64()
-		c.storeData = d.u64()
-		c.forwarded = d.bool()
-		c.accelStarted = d.bool()
-		c.accelHasMark = d.bool()
-		c.accelMark = d.intv()
-		c.storeOff = d.intv()
-		c.storeCount = d.intv()
-		c.accelMemOps = d.intv()
-		c.accelStart = d.i64()
-		c.accelHeld = d.i64()
-	}
-	return hot, cold
-}
-
-func (d *decoder) memState() isa.MemoryState {
-	var s isa.MemoryState
-	s.Reads = d.u64()
-	s.Writes = d.u64()
-	if n := d.length(); n > 0 {
-		s.Pages = make([]isa.PageState, n)
-		for i := range s.Pages {
-			p := &s.Pages[i]
-			p.ID = d.u64()
-			for w := range p.Data {
-				p.Data[w] = d.u64()
-			}
-		}
-	}
-	return s
-}
-
-func (d *decoder) cacheState() mem.CacheState {
-	var s mem.CacheState
-	s.Stamp = d.u64()
-	s.Stats.Accesses = d.u64()
-	s.Stats.Hits = d.u64()
-	s.Stats.Misses = d.u64()
-	s.Stats.Writebacks = d.u64()
-	s.Stats.MSHRMerges = d.u64()
-	s.Stats.MSHRStalls = d.u64()
-	s.Stats.Prefetches = d.u64()
-	s.Stats.PrefetchHits = d.u64()
-	if n := d.length(); n > 0 {
-		s.Lines = make([]mem.CacheLineState, n)
-		for i := range s.Lines {
-			ln := &s.Lines[i]
-			ln.Tag = d.u64()
-			ln.Valid = d.bool()
-			ln.Dirty = d.bool()
-			ln.Prefetched = d.bool()
-			ln.LRU = d.u64()
-		}
-	}
-	if n := d.length(); n > 0 {
-		s.Fills = make([]mem.FillState, n)
-		for i := range s.Fills {
-			s.Fills[i].LineAddr = d.u64()
-			s.Fills[i].Done = d.i64()
-		}
-	}
-	return s
-}
-
-func (d *decoder) tlbState() *mem.TLBState {
-	if !d.bool() {
-		return nil
-	}
-	s := &mem.TLBState{}
-	s.Stamp = d.u64()
-	s.WalkEnd = d.i64()
-	s.Stats.Accesses = d.u64()
-	s.Stats.Misses = d.u64()
-	if n := d.length(); n > 0 {
-		s.Pages = make([]mem.TLBPageState, n)
-		for i := range s.Pages {
-			s.Pages[i].Page = d.u64()
-			s.Pages[i].Stamp = d.u64()
-		}
-	}
-	return s
-}
-
-func (d *decoder) hierState() mem.HierarchyState {
-	var s mem.HierarchyState
-	if d.bool() {
-		cs := d.cacheState()
-		s.L1I = &cs
-	}
-	s.L1D = d.cacheState()
-	s.L2 = d.cacheState()
-	s.DRAM.NextFree = d.i64()
-	s.DRAM.Stats.Reads = d.u64()
-	s.DRAM.Stats.Writes = d.u64()
-	s.DRAM.Stats.BusyCycles = d.i64()
-	s.DTLB = d.tlbState()
-	s.ITLB = d.tlbState()
-	return s
-}
-
-func (d *decoder) predState() bpred.State {
-	var s bpred.State
-	s.Kind = d.str()
-	s.History = d.u64()
-	s.Table = d.bytes()
-	if n := d.length(); n > 0 {
-		s.Pairs = make([]bpred.PredictorPair, n)
-		for i := range s.Pairs {
-			s.Pairs[i].PC = d.u64()
-			s.Pairs[i].Taken = d.bool()
-		}
-	}
-	return s
+	var k codec
+	k.checkpoint(ck)
+	return k.buf
 }
 
 // UnmarshalCheckpoint deserializes a checkpoint produced by MarshalBinary.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
-	d := &decoder{buf: data}
-	if m := d.u64(); d.err == nil && m != ckptMagic {
-		return nil, fmt.Errorf("sim: checkpoint decode: bad magic %#x", m)
-	}
-	if v := d.u64(); d.err == nil && v != ckptVersion {
-		return nil, fmt.Errorf("sim: checkpoint decode: version %d, want %d", v, ckptVersion)
-	}
+	k := codec{buf: data, dec: true}
 	ck := &Checkpoint{}
-	ck.Config = d.config()
-	ck.ProgHash = d.u64()
-	ck.Now = d.i64()
-	ck.Seq = d.u64()
-	ck.Halted = d.bool()
-	ck.LastCommitCycle = d.i64()
-	ck.SawAccelFetch = d.bool()
-	ck.SuffixFree = d.bool()
-	for i := range ck.ARF {
-		ck.ARF[i] = d.u64()
+	k.checkpoint(ck)
+	if k.left() != 0 {
+		k.fail("%d trailing bytes", k.left())
 	}
-	for i := range ck.Rename {
-		ck.Rename[i].Valid = d.bool()
-		ck.Rename[i].Seq = d.u64()
-	}
-	ck.ROBHot, ck.ROBCold = d.robSlabs()
-	if n := d.length(); n > 0 {
-		ck.Arena = make([]isa.AccelStore, n)
-		for i := range ck.Arena {
-			ck.Arena[i].Addr = d.u64()
-			ck.Arena[i].Data = d.u64()
-		}
-	}
-	ck.LiveStores = d.intv()
-	ck.IQCount = d.intv()
-	ck.LSQCount = d.intv()
-	ck.IssuedCount = d.intv()
-	if n := d.length(); n > 0 {
-		ck.FetchQ = make([]fetchedInst, n)
-		for i := range ck.FetchQ {
-			f := &ck.FetchQ[i]
-			f.pc = d.intv()
-			f.in = d.instruction()
-			f.predTaken = d.bool()
-			f.predConfident = d.bool()
-			f.availAt = d.i64()
-		}
-	}
-	ck.FetchPC = d.intv()
-	ck.FetchResumeAt = d.i64()
-	ck.FetchStopped = d.bool()
-	ck.CurFetchLine = d.i64()
-	ck.BarrierSeq = d.u64()
-	ck.BarrierActive = d.bool()
-	for cl := range ck.FreeUnits {
-		if n := d.length(); n > 0 {
-			ck.FreeUnits[cl] = make([]int64, n)
-			for i := range ck.FreeUnits[cl] {
-				ck.FreeUnits[cl][i] = d.i64()
-			}
-		}
-	}
-	if n := d.length(); n > 0 {
-		ck.Ports = make([]int64, n)
-		for i := range ck.Ports {
-			ck.Ports[i] = d.i64()
-		}
-	}
-	ck.TCABusyUntil = d.i64()
-	if n := d.length(); n > 0 {
-		ck.Pend = make([]compRecord, n)
-		for i := range ck.Pend {
-			ck.Pend[i].cycle = d.i64()
-			ck.Pend[i].seq = d.u64()
-		}
-	}
-	ck.Stats = d.stats()
-	ck.Mem = d.memState()
-	ck.Hier = d.hierState()
-	ck.Pred = d.predState()
-	if d.bool() {
-		ck.DeviceState = d.bytes()
-	}
-	ck.DevicePristine = d.bool()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("sim: checkpoint decode: %d trailing bytes", len(d.buf))
+	if k.err != nil {
+		return nil, k.err
 	}
 	return ck, nil
+}
+
+func (k *codec) checkpoint(ck *Checkpoint) {
+	magic, version := uint64(ckptMagic), uint64(ckptVersion)
+	k.u64(&magic)
+	k.u64(&version)
+	switch {
+	case magic != ckptMagic:
+		k.fail("bad magic %#x", magic)
+	case version != ckptVersion:
+		k.fail("version %d, want %d", version, ckptVersion)
+	}
+	k.config(&ck.Config)
+	k.u64(&ck.ProgHash)
+	k.i64(&ck.Now)
+	k.u64(&ck.Seq)
+	k.bool(&ck.Halted)
+	k.i64(&ck.LastCommitCycle)
+	k.bool(&ck.SawAccelFetch)
+	k.bool(&ck.SuffixFree)
+	for i := range ck.ARF {
+		k.u64(&ck.ARF[i])
+	}
+	for i := range ck.Rename {
+		k.bool(&ck.Rename[i].Valid)
+		k.u64(&ck.Rename[i].Seq)
+	}
+	// The ROB is one count, then every hot entry, then every cold one.
+	if n := k.count(len(ck.ROBHot), robMin); k.dec && n > 0 {
+		ck.ROBHot = make([]robHot, n)
+		ck.ROBCold = make([]robEntry, n)
+	}
+	for i := range ck.ROBHot {
+		k.robHot(&ck.ROBHot[i])
+	}
+	for i := range ck.ROBCold {
+		k.robEntry(&ck.ROBCold[i])
+	}
+	sized(k, &ck.Arena, storeMin)
+	for i := range ck.Arena {
+		k.store(&ck.Arena[i])
+	}
+	k.int(&ck.LiveStores)
+	k.int(&ck.IQCount)
+	k.int(&ck.LSQCount)
+	k.int(&ck.IssuedCount)
+	sized(k, &ck.FetchQ, fetchedMin)
+	for i := range ck.FetchQ {
+		k.fetched(&ck.FetchQ[i])
+	}
+	k.int(&ck.FetchPC)
+	k.i64(&ck.FetchResumeAt)
+	k.bool(&ck.FetchStopped)
+	k.i64(&ck.CurFetchLine)
+	k.u64(&ck.BarrierSeq)
+	k.bool(&ck.BarrierActive)
+	for cl := range ck.FreeUnits {
+		k.int64s(&ck.FreeUnits[cl])
+	}
+	k.int64s(&ck.Ports)
+	k.i64(&ck.TCABusyUntil)
+	sized(k, &ck.Pend, compMin)
+	for i := range ck.Pend {
+		k.comp(&ck.Pend[i])
+	}
+	k.stats(&ck.Stats)
+	k.memState(&ck.Mem)
+	k.hierState(&ck.Hier)
+	k.predState(&ck.Pred)
+	has := ck.DeviceState != nil
+	k.bool(&has)
+	if has {
+		k.bytes(&ck.DeviceState)
+		if ck.DeviceState == nil {
+			ck.DeviceState = []byte{} // an empty frame is still a frame
+		}
+	}
+	k.bool(&ck.DevicePristine)
+}
+
+func (k *codec) config(c *Config) {
+	// Name and NoFastForward are erased by Config.Canonical (Checkpoint
+	// stores the canonical form), as are the cache Names.
+	k.int(&c.FetchWidth)
+	k.int(&c.DispatchWidth)
+	k.int(&c.IssueWidth)
+	k.int(&c.CommitWidth)
+	k.int(&c.ROBSize)
+	k.int(&c.IQSize)
+	k.int(&c.LSQSize)
+	k.int(&c.FrontEndDepth)
+	k.int(&c.CommitDelay)
+	k.int(&c.IntALUs)
+	k.int(&c.IntMuls)
+	k.int(&c.FPUs)
+	k.int(&c.MemPorts)
+	k.int(&c.IntMulLatency)
+	k.int(&c.IntDivLatency)
+	k.int(&c.FPAddLatency)
+	k.int(&c.FPMulLatency)
+	k.int(&c.FMALatency)
+	k.int(&c.FPDivLatency)
+	narrow(k, &c.Mode)
+	k.bool(&c.PartialSpeculation)
+	k.bool(&c.ConservativeLoadOrdering)
+	k.str(&c.Predictor.Kind)
+	k.int(&c.Predictor.TableBits)
+	k.int(&c.Predictor.HistBits)
+	k.cacheConfig(&c.Memory.L1I)
+	k.cacheConfig(&c.Memory.L1D)
+	k.cacheConfig(&c.Memory.L2)
+	k.int(&c.Memory.DRAM.Latency)
+	k.int(&c.Memory.DRAM.CyclesPerLine)
+	k.tlbConfig(&c.Memory.DTLB)
+	k.tlbConfig(&c.Memory.ITLB)
+	k.bool(&c.RecordAccelEvents)
+	k.int(&c.PipeTraceLimit)
+}
+
+func (k *codec) cacheConfig(c *mem.CacheConfig) {
+	k.int(&c.SizeBytes)
+	k.int(&c.Ways)
+	k.int(&c.LineBytes)
+	k.int(&c.HitLatency)
+	k.int(&c.MSHRs)
+	k.bool(&c.NextLinePrefetch)
+}
+
+func (k *codec) tlbConfig(c *mem.TLBConfig) {
+	k.int(&c.Entries)
+	k.int(&c.PageBits)
+	k.int(&c.WalkLatency)
+}
+
+func (k *codec) stats(s *Stats) {
+	k.i64(&s.Cycles)
+	k.u64(&s.Committed)
+	k.u64(&s.Fetched)
+	k.u64(&s.Squashed)
+	k.u64(&s.Branches)
+	k.u64(&s.Mispredicts)
+	k.u64(&s.Loads)
+	k.u64(&s.Stores)
+	k.u64(&s.LoadsForwarded)
+	k.u64(&s.AccelCommitted)
+	k.u64(&s.AccelSquashed)
+	k.i64(&s.AccelBusyCycles)
+	k.u64(&s.AccelMemOps)
+	k.i64(&s.AccelDrainWait)
+	k.i64(&s.AccelConfidenceWait)
+	k.u64(&s.AccelPhases)
+	k.i64(&s.AccelOverlapCycles)
+	k.i64(&s.DispatchStalls.Barrier)
+	k.i64(&s.DispatchStalls.ROBFull)
+	k.i64(&s.DispatchStalls.IQFull)
+	k.i64(&s.DispatchStalls.LSQFull)
+	k.i64(&s.DispatchStalls.FrontEnd)
+	k.i64(&s.ROBOccupancySum)
+	k.i64(&s.FastForwardedCycles)
+	k.i64(&s.FastForwardJumps)
+	sized(k, &s.AccelEvents, eventMin)
+	for i := range s.AccelEvents {
+		k.accelEvent(&s.AccelEvents[i])
+	}
+	sized(k, &s.PipeTrace, pipeMin)
+	for i := range s.PipeTrace {
+		k.pipeEvent(&s.PipeTrace[i])
+	}
+}
+
+func (k *codec) accelEvent(ev *AccelEvent) {
+	k.u64(&ev.Seq)
+	k.i64(&ev.Dispatch)
+	k.i64(&ev.Start)
+	k.i64(&ev.Done)
+	k.i64(&ev.Commit)
+}
+
+func (k *codec) pipeEvent(ev *PipeEvent) {
+	k.u64(&ev.Seq)
+	k.int(&ev.PC)
+	k.str(&ev.Text)
+	k.i64(&ev.Dispatch)
+	k.i64(&ev.Issue)
+	k.i64(&ev.Complete)
+	k.i64(&ev.Commit)
+	k.bool(&ev.Accel)
+}
+
+func (k *codec) instruction(in *isa.Instruction) {
+	k.u8((*uint8)(&in.Op))
+	k.u8((*uint8)(&in.Dst))
+	k.u8((*uint8)(&in.Src1))
+	k.u8((*uint8)(&in.Src2))
+	k.u8((*uint8)(&in.Src3))
+	k.i64(&in.Imm)
+}
+
+func (k *codec) robHot(h *robHot) {
+	k.u64(&h.seq)
+	k.i64(&h.readyCycle)
+	k.u8((*uint8)(&h.op))
+	k.u8((*uint8)(&h.state))
+	k.u8(&h.pendMask)
+	narrow(k, &h.wakeUses)
+}
+
+func (k *codec) robEntry(c *robEntry) {
+	k.int(&c.pc)
+	k.instruction(&c.in)
+	k.i64(&c.dispatchCycle)
+	k.i64(&c.issueCycle)
+	for s := range c.srcs {
+		k.u64(&c.srcs[s].producer)
+		k.u64(&c.srcs[s].value)
+	}
+	k.u64(&c.val)
+	k.bool(&c.predTaken)
+	k.bool(&c.predConfident)
+	k.bool(&c.actualTaken)
+	k.int(&c.nextPC)
+	k.bool(&c.mispredict)
+	k.bool(&c.addrKnown)
+	k.u64(&c.addr)
+	k.u64(&c.storeData)
+	k.bool(&c.forwarded)
+	k.bool(&c.accelStarted)
+	k.bool(&c.accelHasMark)
+	k.int(&c.accelMark)
+	k.int(&c.storeOff)
+	k.int(&c.storeCount)
+	k.int(&c.accelMemOps)
+	k.i64(&c.accelStart)
+	k.i64(&c.accelHeld)
+}
+
+func (k *codec) store(st *isa.AccelStore) {
+	k.u64(&st.Addr)
+	k.u64(&st.Data)
+}
+
+func (k *codec) fetched(f *fetchedInst) {
+	k.int(&f.pc)
+	k.instruction(&f.in)
+	k.bool(&f.predTaken)
+	k.bool(&f.predConfident)
+	k.i64(&f.availAt)
+}
+
+func (k *codec) comp(r *compRecord) {
+	k.i64(&r.cycle)
+	k.u64(&r.seq)
+}
+
+func (k *codec) memState(s *isa.MemoryState) {
+	k.u64(&s.Reads)
+	k.u64(&s.Writes)
+	sized(k, &s.Pages, pageMin)
+	for i := range s.Pages {
+		k.page(&s.Pages[i])
+	}
+}
+
+func (k *codec) page(p *isa.PageState) {
+	k.u64(&p.ID)
+	for i := range p.Data {
+		k.u64(&p.Data[i])
+	}
+}
+
+func (k *codec) cacheState(s *mem.CacheState) {
+	k.u64(&s.Stamp)
+	k.u64(&s.Stats.Accesses)
+	k.u64(&s.Stats.Hits)
+	k.u64(&s.Stats.Misses)
+	k.u64(&s.Stats.Writebacks)
+	k.u64(&s.Stats.MSHRMerges)
+	k.u64(&s.Stats.MSHRStalls)
+	k.u64(&s.Stats.Prefetches)
+	k.u64(&s.Stats.PrefetchHits)
+	sized(k, &s.Lines, lineMin)
+	for i := range s.Lines {
+		k.line(&s.Lines[i])
+	}
+	sized(k, &s.Fills, fillMin)
+	for i := range s.Fills {
+		k.fill(&s.Fills[i])
+	}
+}
+
+func (k *codec) line(ln *mem.CacheLineState) {
+	k.u64(&ln.Tag)
+	k.bool(&ln.Valid)
+	k.bool(&ln.Dirty)
+	k.bool(&ln.Prefetched)
+	k.u64(&ln.LRU)
+}
+
+func (k *codec) fill(f *mem.FillState) {
+	k.u64(&f.LineAddr)
+	k.i64(&f.Done)
+}
+
+func (k *codec) tlbState(s *mem.TLBState) {
+	k.u64(&s.Stamp)
+	k.i64(&s.WalkEnd)
+	k.u64(&s.Stats.Accesses)
+	k.u64(&s.Stats.Misses)
+	sized(k, &s.Pages, tlbPageMin)
+	for i := range s.Pages {
+		k.tlbPage(&s.Pages[i])
+	}
+}
+
+func (k *codec) tlbPage(p *mem.TLBPageState) {
+	k.u64(&p.Page)
+	k.u64(&p.Stamp)
+}
+
+func (k *codec) hierState(s *mem.HierarchyState) {
+	if present(k, &s.L1I) {
+		k.cacheState(s.L1I)
+	}
+	k.cacheState(&s.L1D)
+	k.cacheState(&s.L2)
+	k.i64(&s.DRAM.NextFree)
+	k.u64(&s.DRAM.Stats.Reads)
+	k.u64(&s.DRAM.Stats.Writes)
+	k.i64(&s.DRAM.Stats.BusyCycles)
+	if present(k, &s.DTLB) {
+		k.tlbState(s.DTLB)
+	}
+	if present(k, &s.ITLB) {
+		k.tlbState(s.ITLB)
+	}
+}
+
+func (k *codec) predState(s *bpred.State) {
+	k.str(&s.Kind)
+	k.u64(&s.History)
+	k.bytes(&s.Table)
+	sized(k, &s.Pairs, pairMin)
+	for i := range s.Pairs {
+		k.pair(&s.Pairs[i])
+	}
+}
+
+func (k *codec) pair(p *bpred.PredictorPair) {
+	k.u64(&p.PC)
+	k.bool(&p.Taken)
 }
