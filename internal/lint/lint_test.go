@@ -74,8 +74,10 @@ func TestRuleFixtures(t *testing.T) {
 		{name: "R6-out-of-scope", file: "r6.go", as: "internal/mem/fixture", ignores: true},
 		{name: "R7-everywhere", file: "r7.go", as: "internal/experiments/fixture"},
 		{name: "R7-in-defining-pkg", file: "r7.go", as: "internal/scenario/fixture"},
-		{name: "R8-in-scope", file: "r8.go", as: "internal/scenario/fixture8"},
+		{name: "R8-in-scope", file: "r8.go", as: "internal/sim/fixture8"},
 		{name: "R8-out-of-scope", file: "r8.go", as: "internal/experiments/fixture8", ignores: true},
+		{name: "R8-spec-in-scope", file: "r8spec.go", as: "internal/scenario/fixturespec"},
+		{name: "R8-renamed-encoder", file: "r8renamed.go", as: "internal/sim/fixturerenamed"},
 		{name: "R8R9-checkpoint-in-scope", file: "r8ckpt.go", as: "internal/sim/fixtureckpt"},
 		{name: "R8R9-checkpoint-out-of-scope", file: "r8ckpt.go", as: "internal/experiments/fixtureckpt", ignores: true},
 		{name: "R9-in-scope", file: "r9.go", as: "internal/sim/fixture9"},

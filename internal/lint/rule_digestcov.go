@@ -6,33 +6,37 @@ import (
 	"strings"
 )
 
-// digestRoots are the struct types whose transitive exported field set
-// must be covered by the canonical digest encoder. A field reachable
-// from one of these that never reaches the encoder makes two different
-// runs digest-equal — the cache then serves one run's Stats for the
-// other, which is the silent-aliasing failure DESIGN.md's scenario
-// section rules out. Each root is audited in the package that owns its
-// encoder (auditUnder): the scenario digest encoder covers the spec
-// types, and the sim checkpoint codec covers Checkpoint — a microarch
-// field added to Core state but never serialized would silently zero on
-// every resume-from-disk.
-var digestRoots = []struct{ pkgSuffix, name, auditUnder string }{
-	{"internal/sim", "Config", "internal/scenario"},
-	{"internal/scenario", "Spec", "internal/scenario"},
-	{"internal/scenario", "MeasureSpec", "internal/scenario"},
-	{"internal/sim", "Checkpoint", "internal/sim"},
+// digestAudits are R8's audits, one per package that owns an encoder.
+// Each names the receiver type whose methods make up the encoder and the
+// root struct types, defined in that package, whose transitive exported
+// field set the encoder must cover. A field reachable from a root that
+// never reaches the encoder makes two different values encode alike:
+// for the spec types the cache then serves one run's Stats for the
+// other, the silent-aliasing failure DESIGN.md's scenario section rules
+// out; for Checkpoint a microarch field added to Core state but never
+// walked silently zeroes on every resume-from-disk. sim.Config is walked
+// once, by the checkpoint codec (Config.AppendCanonical is that walk),
+// so it is audited there; the scenario digest encoder consumes it whole.
+var digestAudits = []struct {
+	pkg, recv string
+	roots     []string
+}{
+	{"internal/sim", "codec", []string{"Config", "Checkpoint"}},
+	{"internal/scenario", "encoder", []string{"Spec", "MeasureSpec"}},
 }
 
-// ruleDigestCov (R8) proves digest exhaustiveness: every exported field
-// of the spec types — and of every module-internal struct reachable
+// ruleDigestCov (R8) proves encoder exhaustiveness: every exported field
+// of an audit's roots — and of every module-internal struct reachable
 // through their fields — must be (a) read by an encoder method or a
-// Digest method, (b) erased to a zero value in a Canonical method
-// (the documented "cannot influence results" list), or (c) named in a
-// //lint:exempt-field R8 manifest directive with a reason.
+// Digest method, (b) erased to a zero value in a Canonical method (the
+// documented "cannot influence results" list), or (c) named in a
+// //lint:exempt-field R8 manifest directive with a reason. A field whose
+// type is another audit's root is a leaf: it must be read, and its own
+// fields are checked where their walk lives.
 var ruleDigestCov = &Rule{
 	ID:   "R8",
 	Name: "digest-field-coverage",
-	Doc:  "every field reachable from sim.Config / scenario.Spec / scenario.MeasureSpec / sim.Checkpoint must reach its digest or checkpoint encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
+	Doc:  "every field reachable from sim.Config / sim.Checkpoint (checkpoint codec) and scenario.Spec / scenario.MeasureSpec (digest encoder) must reach its encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
 	Applies: func(rel string) bool {
 		return underAny(rel, "internal/scenario", "internal/sim")
 	},
@@ -40,6 +44,27 @@ var ruleDigestCov = &Rule{
 }
 
 func checkDigestCoverage(pass *Pass) {
+	var roots, leaves []*types.Named
+	recv := ""
+	for _, a := range digestAudits {
+		mine := underAny(pass.Pkg.Rel, a.pkg)
+		if mine {
+			recv = a.recv
+		}
+		for _, name := range a.roots {
+			n := lookupNamed(pass, a.pkg, name)
+			switch {
+			case n == nil:
+			case mine:
+				roots = append(roots, n)
+			default:
+				leaves = append(leaves, n)
+			}
+		}
+	}
+	if len(roots) == 0 {
+		return
+	}
 	// Consumers: the encoder's methods plus the Digest methods. Describe
 	// and friends deliberately do not count — display code reading a
 	// field proves nothing about its identity contribution.
@@ -47,16 +72,19 @@ func checkDigestCoverage(pass *Pass) {
 	pass.eachFile(func(f *ast.File) {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil {
-				continue
-			}
-			if r := recvTypeName(fd); r == "encoder" || r == "codec" || fd.Name.Name == "Digest" {
+			if ok && fd.Recv != nil && (recvTypeName(fd) == recv || fd.Name.Name == "Digest") {
 				consumers = append(consumers, fd)
 			}
 		}
 	})
 	if len(consumers) == 0 {
-		return // no encoder here (e.g. a sub-package); nothing to prove
+		// A renamed encoder must not switch the audit off silently.
+		for _, r := range roots {
+			if r.Obj().Pkg() == pass.Pkg.Types {
+				pass.Reportf(r.Obj().Pos(), "no %s method encodes %s: R8 cannot audit it; walk it in %s methods or update R8's digestAudits", recv, r.Obj().Name(), recv)
+			}
+		}
+		return
 	}
 	anchor := consumers[0]
 	for _, fd := range consumers {
@@ -64,20 +92,16 @@ func checkDigestCoverage(pass *Pass) {
 			anchor = fd
 		}
 	}
-	var roots []*types.Named
-	for _, r := range digestRoots {
-		if !underAny(pass.Pkg.Rel, r.auditUnder) {
-			continue
-		}
-		if n := lookupNamed(pass, r.pkgSuffix, r.name); n != nil {
-			roots = append(roots, n)
-		}
-	}
-	if len(roots) == 0 {
-		return
-	}
 	cov := newCoverage(pass)
-	cov.addRoots(roots, nil)
+	cov.addRoots(roots, func(_ *coverType, f *types.Var) bool {
+		next := structElem(f.Type())
+		for _, l := range leaves {
+			if next == l {
+				return false
+			}
+		}
+		return true
+	})
 	cov.collectExemptions("R8", append([]*Package{pass.Pkg}, cov.definingPackages()...))
 	cov.collectErasures()
 	for _, fd := range consumers {
@@ -89,8 +113,8 @@ func checkDigestCoverage(pass *Pass) {
 			continue
 		}
 		pass.Reportf(anchor.Pos(),
-			"digest encoder never reads %s field(s) %s: two configs differing only there digest identically and alias in the result cache; encode them (and bump SchemeVersion), erase them in Canonical, or add `//lint:exempt-field R8 %s.<Field> <reason>`",
-			ct.display(), strings.Join(missing, ", "), ct.named.Obj().Name())
+			"no %s method reads %s field(s) %s: two values differing only there encode identically (aliasing in the result cache, or zeroing on resume); encode them (and bump SchemeVersion or the checkpoint version), erase them in Canonical, or add `//lint:exempt-field R8 %s.<Field> <reason>`",
+			recv, ct.display(), strings.Join(missing, ", "), ct.named.Obj().Name())
 	}
 }
 

@@ -1,15 +1,16 @@
-// Fixture for R8 (digest-field-coverage). Posed as a package under
-// internal/scenario, it defines local stand-ins for the spec types and
-// the digest encoder. Config.IQSize and LSQSize are deliberately never
-// encoded; Name is erased by Canonical and Note carries an exemption
-// manifest entry, so neither of those may be reported.
+// Fixture for R8 (digest-field-coverage) on sim.Config. Posed as a
+// package under internal/sim, it defines a local stand-in for Config and
+// the checkpoint codec whose walk encodes it. Config.IQSize and LSQSize
+// are deliberately never walked; Name is erased by Canonical and Note
+// carries an exemption manifest entry, so neither of those may be
+// reported.
 package fixture8
 
 type Config struct {
 	Name    string // erased by Canonical: fine
-	Width   int    // encoded: fine
-	IQSize  int    // never encoded -> reported (on the anchor line below)
-	LSQSize int    // never encoded -> reported (same diagnostic)
+	Width   int    // walked: fine
+	IQSize  int    // never walked -> reported (on the anchor line below)
+	LSQSize int    // never walked -> reported (same diagnostic)
 	Note    string // exempted: fine
 	hidden  int    // unexported: ignored
 }
@@ -17,7 +18,7 @@ type Config struct {
 //lint:exempt-field R8 Config.Note presentation only, never affects simulated results
 
 // Canonical erases Name (zero literal) and normalizes Width (non-zero
-// assignment — must NOT count as erasure, Width stays encoded).
+// assignment — must NOT count as erasure, Width stays walked).
 func (c Config) Canonical() Config {
 	c.Name = ""
 	if c.Width == 0 {
@@ -26,25 +27,20 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-type Spec struct {
-	Config    Config
-	MaxCycles int64
-}
-
-type encoder struct{ sum uint64 }
+type codec struct{ buf []byte }
 
 // config is the first consumer declaration, so aggregated per-type
 // diagnostics anchor here.
-func (e *encoder) config(c Config) { // want:R8
-	cc := c.Canonical()
-	e.add(uint64(cc.Width))
+func (k *codec) config(c *Config) { // want:R8
+	k.int(&c.Width)
 }
 
-func (e *encoder) add(v uint64) { e.sum += v }
+func (k *codec) int(v *int) { k.buf = append(k.buf, byte(*v)) }
 
-func (sp Spec) Digest() uint64 {
-	e := &encoder{}
-	e.config(sp.Config)
-	e.add(uint64(sp.MaxCycles))
-	return e.sum
+// AppendCanonical reads no field itself; the walk is what R8 audits.
+func (c Config) AppendCanonical(b []byte) []byte {
+	c = c.Canonical()
+	k := codec{buf: b}
+	k.config(&c)
+	return k.buf
 }

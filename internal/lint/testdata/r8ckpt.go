@@ -1,7 +1,7 @@
 // Fixture for R8's checkpoint-codec audit and R9's Checkpoint clone
 // audit. Posed as a package under internal/sim, it defines local
 // stand-ins for Checkpoint, its nested RenameEntry, and the binary
-// codec's encoder. TCABusyUntil is deliberately never encoded — the
+// codec. TCABusyUntil is deliberately never encoded — the
 // "microarchitectural field added to Core state but forgotten in the
 // codec" failure, which would silently zero on every resume — and
 // Clone aliases the Ports slice.
@@ -23,32 +23,32 @@ type Checkpoint struct {
 
 // checkpoint is the first consumer declaration, so aggregated per-type
 // diagnostics anchor here.
-func (e *encoder) checkpoint(ck *Checkpoint) { // want:R8
-	e.push(uint64(ck.Now))
-	e.push(ck.Seq)
+func (k *codec) checkpoint(ck *Checkpoint) { // want:R8
+	k.push(uint64(ck.Now))
+	k.push(ck.Seq)
 	for _, rn := range ck.Rename {
 		if rn.Valid {
-			e.push(1)
+			k.push(1)
 		}
-		e.push(rn.Seq)
+		k.push(rn.Seq)
 	}
 	for _, p := range ck.Ports {
-		e.push(uint64(p))
+		k.push(uint64(p))
 	}
 }
 
-type encoder struct{ buf []byte }
+type codec struct{ buf []byte }
 
-func (e *encoder) push(v uint64) {
-	e.buf = append(e.buf, byte(v))
+func (k *codec) push(v uint64) {
+	k.buf = append(k.buf, byte(v))
 }
 
-// MarshalBinary delegates to the encoder; its own reads do NOT count as
-// coverage (only encoder methods and Digest funcs are consumers).
+// MarshalBinary delegates to the codec; its own reads do NOT count as
+// coverage (only codec methods and Digest funcs are consumers).
 func (ck *Checkpoint) MarshalBinary() []byte {
-	var e encoder
-	e.checkpoint(ck)
-	return e.buf
+	var k codec
+	k.checkpoint(ck)
+	return k.buf
 }
 
 // Clone deep-copies Rename but aliases Ports.

@@ -1,0 +1,15 @@
+// Fixture for R8's guard against an encoder it cannot find. Posed as a
+// package under internal/sim, it walks Checkpoint in methods of a type
+// R8 does not know as the checkpoint codec, which must be reported
+// rather than leave the audit silently off.
+package fixturerenamed
+
+type Checkpoint struct { // want:R8
+	Now int64
+}
+
+type walker struct{ buf []byte }
+
+func (w *walker) checkpoint(ck *Checkpoint) {
+	w.buf = append(w.buf, byte(ck.Now))
+}

@@ -23,7 +23,8 @@ import (
 // post-warmup fields collide on it — exactly the sharing we want. The
 // ordinary digest/SchemeVersion rules are the invalidation story: any
 // encoding or semantics change bumps SchemeVersion, which salts this
-// digest too, so stale disk checkpoints read as misses.
+// digest too, so stale disk checkpoints read as misses. A blob written by
+// another checkpoint codec version fails to decode and is a miss as well.
 
 // minForkCycles gates forking: prefixes shorter than this resume in
 // about the time they take to re-simulate, so the snapshot machinery

@@ -97,58 +97,17 @@ func (e *encoder) str(s string) {
 	e.raw(s)
 }
 
-// config writes the canonical form of a simulator configuration.
-func (e *encoder) config(cfg sim.Config) {
-	c := cfg.Canonical()
-	e.int(c.FetchWidth)
-	e.int(c.DispatchWidth)
-	e.int(c.IssueWidth)
-	e.int(c.CommitWidth)
-	e.int(c.ROBSize)
-	e.int(c.IQSize)
-	e.int(c.LSQSize)
-	e.int(c.FrontEndDepth)
-	e.int(c.CommitDelay)
-	e.int(c.IntALUs)
-	e.int(c.IntMuls)
-	e.int(c.FPUs)
-	e.int(c.MemPorts)
-	e.int(c.IntMulLatency)
-	e.int(c.IntDivLatency)
-	e.int(c.FPAddLatency)
-	e.int(c.FPMulLatency)
-	e.int(c.FMALatency)
-	e.int(c.FPDivLatency)
-	e.u64(uint64(c.Mode))
-	e.bool(c.PartialSpeculation)
-	e.bool(c.ConservativeLoadOrdering)
-	e.str(c.Predictor.Kind)
-	e.int(c.Predictor.TableBits)
-	e.int(c.Predictor.HistBits)
-	e.cache(c.Memory.L1I)
-	e.cache(c.Memory.L1D)
-	e.cache(c.Memory.L2)
-	e.int(c.Memory.DRAM.Latency)
-	e.int(c.Memory.DRAM.CyclesPerLine)
-	e.tlb(c.Memory.DTLB)
-	e.tlb(c.Memory.ITLB)
-	e.bool(c.RecordAccelEvents)
-	e.int(c.PipeTraceLimit)
-}
-
-func (e *encoder) cache(c mem.CacheConfig) {
-	e.int(c.SizeBytes)
-	e.int(c.Ways)
-	e.int(c.LineBytes)
-	e.int(c.HitLatency)
-	e.int(c.MSHRs)
-	e.bool(c.NextLinePrefetch)
-}
-
-func (e *encoder) tlb(c mem.TLBConfig) {
-	e.int(c.Entries)
-	e.int(c.PageBits)
-	e.int(c.WalkLatency)
+// config writes the simulator configuration's canonical encoding,
+// sim.Config.AppendCanonical, appended in place into buf when it fits.
+func (e *encoder) config(c sim.Config) {
+	b := c.AppendCanonical(e.buf[e.n:e.n])
+	if e.n+len(b) <= len(e.buf) {
+		e.n += len(b)
+		return
+	}
+	// The encoding outgrew buf and went to a fresh array.
+	e.flush()
+	e.h.Write(b)
 }
 
 // programRef writes the program's own content address in place of its

@@ -235,16 +235,17 @@ func (r refEncoder) sum() Digest {
 }
 
 // TestEncoderMatchesUnbuffered drives the buffered encoder and the
-// unbuffered reference with one seeded sequence of u64, str and digest
-// calls. String lengths run from 0 to three buffers, so strings start
-// and end on both sides of a flush and u64s land misaligned after them.
+// unbuffered reference with one seeded sequence of u64, str, digest and
+// config calls. String lengths, predictor kinds included, run from 0 to
+// three buffers, so strings and configs start and end on both sides of a
+// flush and u64s land misaligned after them.
 func TestEncoderMatchesUnbuffered(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := &encoder{h: sha256.New()}
 		ref := refEncoder{sha256.New()}
 		for i := 0; i < 200; i++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				v := rng.Uint64()
 				e.u64(v)
@@ -259,6 +260,11 @@ func TestEncoderMatchesUnbuffered(t *testing.T) {
 				rng.Read(d[:])
 				e.digest(d)
 				ref.digest(d)
+			case 3:
+				cfg := sim.HighPerfConfig()
+				cfg.Predictor.Kind = strings.Repeat("k", rng.Intn(3*len(e.buf)+1))
+				e.config(cfg)
+				ref.h.Write(cfg.AppendCanonical(nil))
 			}
 		}
 		if got, want := e.sum(), ref.sum(); got != want {

@@ -26,10 +26,13 @@ const (
 	// miss.
 	// v2: device-engine statistics (Stats.AccelPhases,
 	// Stats.AccelOverlapCycles) joined the stats frame.
-	ckptVersion = 2
+	// v3: the config section is Config.AppendCanonical, the scenario
+	// digest's encoding, whose flags are words rather than bytes.
+	ckptVersion = 3
 )
 
-// wordBytes is the width of every fixed-width field but bytes and flags.
+// wordBytes is the width of every fixed-width field but bytes and the
+// checkpoint's own flags.
 const wordBytes = 8
 
 // codec walks persisted values. Encoding appends to buf. Decoding reads
@@ -137,6 +140,18 @@ func (k *codec) truth(b uint64) bool {
 		k.fail("flag %d is neither 0 nor 1", b)
 	}
 	return b == 1
+}
+
+// flag walks a configuration flag as a word of 0 or 1.
+func (k *codec) flag(v *bool) {
+	w := uint64(0)
+	if *v {
+		w = 1
+	}
+	k.u64(&w)
+	if k.dec {
+		*v = k.truth(w)
+	}
 }
 
 // narrow walks an integer held in a type narrower than its word. Decoding
@@ -328,9 +343,10 @@ func (k *codec) checkpoint(ck *Checkpoint) {
 	k.bool(&ck.DevicePristine)
 }
 
+// config walks the fields Config.Canonical keeps, every one a word; Name,
+// NoFastForward and the cache Names are not part of it. Checkpoint holds
+// a canonical config, so its config section is Config.AppendCanonical.
 func (k *codec) config(c *Config) {
-	// Name and NoFastForward are erased by Config.Canonical (Checkpoint
-	// stores the canonical form), as are the cache Names.
 	k.int(&c.FetchWidth)
 	k.int(&c.DispatchWidth)
 	k.int(&c.IssueWidth)
@@ -351,8 +367,8 @@ func (k *codec) config(c *Config) {
 	k.int(&c.FMALatency)
 	k.int(&c.FPDivLatency)
 	narrow(k, &c.Mode)
-	k.bool(&c.PartialSpeculation)
-	k.bool(&c.ConservativeLoadOrdering)
+	k.flag(&c.PartialSpeculation)
+	k.flag(&c.ConservativeLoadOrdering)
 	k.str(&c.Predictor.Kind)
 	k.int(&c.Predictor.TableBits)
 	k.int(&c.Predictor.HistBits)
@@ -363,7 +379,7 @@ func (k *codec) config(c *Config) {
 	k.int(&c.Memory.DRAM.CyclesPerLine)
 	k.tlbConfig(&c.Memory.DTLB)
 	k.tlbConfig(&c.Memory.ITLB)
-	k.bool(&c.RecordAccelEvents)
+	k.flag(&c.RecordAccelEvents)
 	k.int(&c.PipeTraceLimit)
 }
 
@@ -373,7 +389,7 @@ func (k *codec) cacheConfig(c *mem.CacheConfig) {
 	k.int(&c.LineBytes)
 	k.int(&c.HitLatency)
 	k.int(&c.MSHRs)
-	k.bool(&c.NextLinePrefetch)
+	k.flag(&c.NextLinePrefetch)
 }
 
 func (k *codec) tlbConfig(c *mem.TLBConfig) {

@@ -13,10 +13,10 @@ import (
 // that moves a byte must bump ckptVersion and update these values.
 func TestCheckpointBytesGolden(t *testing.T) {
 	warm := heapWarmCheckpoint(t).MarshalBinary()
-	if got, want := len(warm), 533796; got != want {
+	if got, want := len(warm), 533838; got != want {
 		t.Errorf("warm heap checkpoint: %d bytes, want %d", got, want)
 	}
-	if got, want := sha256Hex(warm), "e14d85ffa7207ff642a793b5f5a14066d43d6275a5b0a373a34d7d1a6783e8e9"; got != want {
+	if got, want := sha256Hex(warm), "c2969f4581a6cdc90f082fd72f665c1fbf490f739442d8ede00182b92dd16407"; got != want {
 		t.Errorf("warm heap checkpoint: sha256 %s, want %s", got, want)
 	}
 
@@ -35,10 +35,10 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		total += len(b)
 		h.Write(b)
 	}
-	if got, want := total, 12919553; got != want {
+	if got, want := total, 12921023; got != want {
 		t.Errorf("mid-run checkpoints: %d bytes, want %d", got, want)
 	}
-	if got, want := hex.EncodeToString(h.Sum(nil)), "18c83b16c65f3606906d9c3b3b81319bfa9f0fd7bd52c67a6b317f61e750f668"; got != want {
+	if got, want := hex.EncodeToString(h.Sum(nil)), "dc3803354cf708837475c8cea41dd636862cc14ade632a16760e5d26abb21d1a"; got != want {
 		t.Errorf("mid-run checkpoints: sha256 %s, want %s", got, want)
 	}
 }

@@ -188,6 +188,19 @@ func (c Config) Canonical() Config {
 	return c
 }
 
+// AppendCanonical appends the binary encoding of the canonical
+// configuration to b: every field Canonical keeps, in declaration order,
+// as a little-endian 8-byte word (a flag as 0 or 1, the predictor kind
+// as its length and then its bytes). The scenario digests hash these
+// bytes and checkpoints store them, so any change to them moves every
+// digest and the checkpoint version.
+func (c Config) AppendCanonical(b []byte) []byte {
+	c = c.Canonical()
+	k := codec{buf: b}
+	k.config(&c)
+	return k.buf
+}
+
 // WarmupCanonical strips, on top of Canonical, the fields that cannot affect
 // simulation before the first OpAccel reaches the pipeline: Mode and
 // PartialSpeculation feed only the accel issue path and the NT dispatch
