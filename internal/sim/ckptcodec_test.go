@@ -1,9 +1,20 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
+
+	"repro/internal/accel"
+	"repro/internal/isa"
+	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 // TestCheckpointBytesGolden pins the checkpoint wire format: the exact
@@ -46,4 +57,175 @@ func TestCheckpointBytesGolden(t *testing.T) {
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// TestCheckpointCodecRoundTripsEveryField gives every field of a
+// Checkpoint, unexported ones included, a distinct non-zero value and
+// demands that decoding its encoding yields it back. The config fields
+// Canonical erases are left zero: a checkpoint never holds them.
+func TestCheckpointCodecRoundTripsEveryField(t *testing.T) {
+	ck := &Checkpoint{}
+	var next uint64
+	fillDistinct(t, reflect.ValueOf(ck).Elem(), &next)
+	ck.Config = ck.Config.Canonical()
+	got, err := UnmarshalCheckpoint(ck.MarshalBinary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ck) {
+		t.Errorf("round trip is not deeply equal:\nwant %+v\ngot  %+v", ck, got)
+	}
+}
+
+// fillDistinct sets every field reachable from v, exported or not, to a
+// non-zero value: numbers count up from *next, strings spell the count,
+// slices get two elements, pointers a new value, and flags are true.
+func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
+	t.Helper()
+	*next++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*next))
+		if v.IsZero() {
+			v.SetInt(1)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(*next)
+		if v.IsZero() {
+			v.SetUint(1)
+		}
+	case reflect.String:
+		v.SetString(fmt.Sprint(*next))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), next)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillDistinct(t, v.Elem(), next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanSet() {
+				f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+			}
+			fillDistinct(t, f, next)
+		}
+	default:
+		t.Fatalf("cannot fill a %s", v.Type())
+	}
+}
+
+// TestCheckpointDecodeRejectsNonCanonicalFlags: a flag byte or config
+// flag word other than 0 or 1 fails to decode, so two blobs never decode
+// to one checkpoint.
+func TestCheckpointDecodeRejectsNonCanonicalFlags(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Checkpoint)
+	}{
+		{"Halted byte", func(ck *Checkpoint) { ck.Halted = true }},
+		{"PartialSpeculation word", func(ck *Checkpoint) { ck.Config.PartialSpeculation = true }},
+	} {
+		blob := nonCanonicalFlag(c.set)
+		if _, err := UnmarshalCheckpoint(blob); err == nil {
+			t.Errorf("%s of 7 decoded without error", c.name)
+		}
+	}
+}
+
+// nonCanonicalFlag encodes a zero checkpoint with the one flag that set
+// turns on holding 7 instead of 1.
+func nonCanonicalFlag(set func(*Checkpoint)) []byte {
+	var ck Checkpoint
+	blob := ck.MarshalBinary()
+	set(&ck)
+	blob[firstDiff(blob, ck.MarshalBinary())] = 7
+	return blob
+}
+
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// TestCheckpointDecodeBoundsCounts: a 264 KB blob whose memory page
+// count claims every byte left fails without allocating for the claim.
+// Each page encodes to 4104 bytes, so a count bounded only by the bytes
+// left would allocate about 4000 times the blob's size.
+func TestCheckpointDecodeBoundsCounts(t *testing.T) {
+	var zero Checkpoint
+	blob := zero.MarshalBinary()
+	one := Checkpoint{Mem: isa.MemoryState{Pages: make([]isa.PageState, 1)}}
+	at := firstDiff(blob, one.MarshalBinary())
+	const size = 264 << 10
+	forged := binary.LittleEndian.AppendUint64(blob[:at:at], size-uint64(at)-8)
+	forged = append(forged, make([]byte, size-len(forged))...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalCheckpoint(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged page count decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*size {
+		t.Errorf("decoding a %d-byte blob allocated %d bytes", size, grew)
+	}
+}
+
+// FuzzUnmarshalCheckpoint: decoding never panics, and a blob that
+// decodes is exactly the encoding of what it decodes to.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	var zero Checkpoint
+	real := tinyCheckpoint(f).MarshalBinary()
+	f.Add(zero.MarshalBinary())
+	f.Add(real)
+	f.Add(real[:len(real)/2])
+	f.Add(nonCanonicalFlag(func(ck *Checkpoint) { ck.Halted = true }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(ck.MarshalBinary(), data) {
+			t.Fatalf("%d-byte blob decodes but does not re-encode to itself", len(data))
+		}
+	})
+}
+
+// tinyCheckpoint is a heap workload paused mid-run on a core with small
+// caches, so its blob stays a few tens of KB.
+func tinyCheckpoint(tb testing.TB) *Checkpoint {
+	tb.Helper()
+	w, err := workload.Heap(workload.HeapConfig{Operations: 40, FillerPerCall: 10, Prefill: 16, Seed: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := LowPerfConfig()
+	cfg.Mode = accel.LT
+	cfg.Memory = mem.DefaultHierarchy()
+	cfg.Memory.L1I.SizeBytes = 512
+	cfg.Memory.L1D.SizeBytes = 1 << 10
+	cfg.Memory.L2.SizeBytes = 4 << 10
+	core, err := New(cfg, w.Accelerated, w.NewDevice())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if paused, err := core.RunTo(ckptBudget, 2000); err != nil || !paused {
+		tb.Fatalf("run did not pause at cycle 2000 (err %v)", err)
+	}
+	ck, err := core.Checkpoint()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ck
 }
