@@ -150,7 +150,7 @@ func (s *Store) RunStats(spec Spec) (sim.Stats, error) {
 		func() (sim.Stats, bool) { return s.loadRunBlob(d) },
 		func() (sim.Stats, error) { return s.computeRun(spec) },
 		func(st sim.Stats) { s.saveRunBlob(d, st) })
-	return cloneStats(st), err
+	return st.Clone(), err
 }
 
 // Measure returns the cached MeasureRecord for the spec, or computes
@@ -206,15 +206,6 @@ func (s *Store) warmCheckpoint(spec Spec) *sim.Checkpoint {
 			}
 		})
 	return ck
-}
-
-// cloneStats deep-copies a Stats so cached canonical copies are never
-// aliased by callers.
-func cloneStats(st sim.Stats) sim.Stats {
-	out := st
-	out.AccelEvents = append([]sim.AccelEvent(nil), st.AccelEvents...)
-	out.PipeTrace = append([]sim.PipeEvent(nil), st.PipeTrace...)
-	return out
 }
 
 // Metrics is a point-in-time snapshot of store activity. It is the one

@@ -287,82 +287,11 @@ func (c *Core) restoreFrom(ck *Checkpoint) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing no storage with ck.
-func (ck *Checkpoint) Clone() *Checkpoint {
-	out := *ck
-	out.ROBHot = append([]robHot(nil), ck.ROBHot...)
-	out.ROBCold = append([]robEntry(nil), ck.ROBCold...)
-	out.Arena = append([]isa.AccelStore(nil), ck.Arena...)
-	out.FetchQ = append([]fetchedInst(nil), ck.FetchQ...)
-	out.FreeUnits = cloneUnitSlices(ck.FreeUnits)
-	out.Ports = append([]int64(nil), ck.Ports...)
-	out.Pend = append([]compRecord(nil), ck.Pend...)
-	out.Stats = ck.Stats.Clone()
-	out.Mem = cloneMemoryState(ck.Mem)
-	out.Hier = cloneHierarchyState(ck.Hier)
-	out.Pred = clonePredState(ck.Pred)
-	out.DeviceState = append([]byte(nil), ck.DeviceState...)
-	return &out
-}
-
 // Clone returns a deep copy of the statistics (the trace slices are the
 // only reference fields).
 func (s Stats) Clone() Stats {
 	out := s
 	out.AccelEvents = append([]AccelEvent(nil), s.AccelEvents...)
 	out.PipeTrace = append([]PipeEvent(nil), s.PipeTrace...)
-	return out
-}
-
-func cloneUnitSlices(fu [numFUClasses][]int64) [numFUClasses][]int64 {
-	var out [numFUClasses][]int64
-	for cl := range fu {
-		out[cl] = append([]int64(nil), fu[cl]...)
-	}
-	return out
-}
-
-func cloneMemoryState(s isa.MemoryState) isa.MemoryState {
-	out := s
-	out.Pages = append([]isa.PageState(nil), s.Pages...)
-	return out
-}
-
-func cloneCacheState(s mem.CacheState) mem.CacheState {
-	out := s
-	out.Lines = append([]mem.CacheLineState(nil), s.Lines...)
-	out.Fills = append([]mem.FillState(nil), s.Fills...)
-	return out
-}
-
-func cloneTLBState(s mem.TLBState) mem.TLBState {
-	out := s
-	out.Pages = append([]mem.TLBPageState(nil), s.Pages...)
-	return out
-}
-
-func cloneHierarchyState(s mem.HierarchyState) mem.HierarchyState {
-	out := s
-	if s.L1I != nil {
-		l1i := cloneCacheState(*s.L1I)
-		out.L1I = &l1i
-	}
-	out.L1D = cloneCacheState(s.L1D)
-	out.L2 = cloneCacheState(s.L2)
-	if s.DTLB != nil {
-		d := cloneTLBState(*s.DTLB)
-		out.DTLB = &d
-	}
-	if s.ITLB != nil {
-		d := cloneTLBState(*s.ITLB)
-		out.ITLB = &d
-	}
-	return out
-}
-
-func clonePredState(s bpred.State) bpred.State {
-	out := s
-	out.Table = append([]uint8(nil), s.Table...)
-	out.Pairs = append([]bpred.PredictorPair(nil), s.Pairs...)
 	return out
 }
