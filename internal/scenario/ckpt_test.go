@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -204,5 +207,66 @@ func TestCheckpointForkConcurrent(t *testing.T) {
 	}
 	if mtr := s.Metrics(); mtr.CkptWarmups != 1 {
 		t.Errorf("concurrent sweep ran %d warmups, want 1", mtr.CkptWarmups)
+	}
+}
+
+// TestBadCheckpointBlobsAreMisses: a checkpoint blob whose checkpoint
+// bytes carry another codec version or are truncated is a miss. The
+// warmup reruns, the fork still matches a direct run, and the rewritten
+// blob is a disk hit for the next store.
+func TestBadCheckpointBlobsAreMisses(t *testing.T) {
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"stale-version": func(ck []byte) []byte {
+			// The version word follows the 8-byte magic.
+			binary.LittleEndian.PutUint64(ck[8:], 2)
+			return ck
+		},
+		"truncated": func(ck []byte) []byte { return ck[:len(ck)/2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			first := newTestStore(t, dir)
+			spec := warmupHeavySpec(t, accel.LT, 2000)
+			if _, err := first.RunStats(spec); err != nil {
+				t.Fatal(err)
+			}
+			path := first.blobPath("ckpt", spec.warmupDigest())
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b diskBlob
+			if err := json.Unmarshal(data, &b); err != nil {
+				t.Fatal(err)
+			}
+			b.Ckpt = corrupt(b.Ckpt)
+			if data, err = json.Marshal(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			for i, m := range []accel.Mode{accel.NLNT, accel.LNT} {
+				s := newTestStore(t, dir)
+				spec := warmupHeavySpec(t, m, 2000)
+				got, err := s.RunStats(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := spec.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: fork differs from direct run", m)
+				}
+				mtr := s.Metrics()
+				if wantHits := int64(i); mtr.CkptDiskHits != wantHits || mtr.CkptWarmups != 1-wantHits || mtr.CkptForks != 1 {
+					t.Errorf("%s: %d disk hits / %d warmups / %d forks, want %d / %d / 1",
+						m, mtr.CkptDiskHits, mtr.CkptWarmups, mtr.CkptForks, wantHits, 1-wantHits)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -63,7 +64,7 @@ func TestNilStoreExecutesDirectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, cloneStats(direct)) {
+	if !reflect.DeepEqual(got, direct.Clone()) {
 		t.Error("nil store run differs from direct execution")
 	}
 	calls := 0
@@ -240,14 +241,23 @@ func TestBadBlobsAreMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	corruptions := map[string]func(path string, valid []byte) []byte{
-		"garbage":      func(string, []byte) []byte { return []byte("not json at all {") },
-		"truncated":    func(_ string, valid []byte) []byte { return valid[:len(valid)/2] },
-		"empty":        func(string, []byte) []byte { return nil },
-		"stale-scheme": func(string, []byte) []byte { return []byte(`{"scheme":999,"kind":"run","digest":"x"}`) },
-		"wrong-kind": func(path string, valid []byte) []byte {
-			return []byte(`{"scheme":1,"kind":"measure","digest":"` + filepath.Base(path) + `"}`)
-		},
+	// swap rewrites one envelope field, so the blob differs from a
+	// valid one only there.
+	swap := func(field, to string) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, valid []byte) []byte {
+			out := bytes.Replace(valid, []byte(field), []byte(to), 1)
+			if bytes.Equal(out, valid) {
+				t.Fatalf("blob has no %s", field)
+			}
+			return out
+		}
+	}
+	corruptions := map[string]func(t *testing.T, valid []byte) []byte{
+		"garbage":      func(*testing.T, []byte) []byte { return []byte("not json at all {") },
+		"truncated":    func(_ *testing.T, valid []byte) []byte { return valid[:len(valid)/2] },
+		"empty":        func(*testing.T, []byte) []byte { return nil },
+		"stale-scheme": swap(fmt.Sprintf(`"scheme":%d`, SchemeVersion), `"scheme":999`),
+		"wrong-kind":   swap(`"kind":"run"`, `"kind":"measure"`),
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -261,7 +271,7 @@ func TestBadBlobsAreMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, corrupt(path, valid), 0o644); err != nil {
+			if err := os.WriteFile(path, corrupt(t, valid), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			s := newTestStore(t, dir)
@@ -269,7 +279,7 @@ func TestBadBlobsAreMisses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corrupt blob surfaced an error: %v", err)
 			}
-			if !reflect.DeepEqual(got, cloneStats(want)) {
+			if !reflect.DeepEqual(got, want.Clone()) {
 				t.Error("re-executed stats differ from direct execution")
 			}
 			m := s.Metrics()
