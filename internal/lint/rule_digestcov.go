@@ -44,7 +44,8 @@ var ruleDigestCov = &Rule{
 }
 
 func checkDigestCoverage(pass *Pass) {
-	var roots, leaves []*types.Named
+	var roots []*types.Named
+	leaves := map[*types.Named]bool{}
 	recv := ""
 	for _, a := range digestAudits {
 		mine := underAny(pass.Pkg.Rel, a.pkg)
@@ -52,13 +53,10 @@ func checkDigestCoverage(pass *Pass) {
 			recv = a.recv
 		}
 		for _, name := range a.roots {
-			n := lookupNamed(pass, a.pkg, name)
-			switch {
-			case n == nil:
-			case mine:
+			if n := lookupNamed(pass, a.pkg, name); n != nil && mine {
 				roots = append(roots, n)
-			default:
-				leaves = append(leaves, n)
+			} else if n != nil {
+				leaves[n] = true
 			}
 		}
 	}
@@ -93,15 +91,7 @@ func checkDigestCoverage(pass *Pass) {
 		}
 	}
 	cov := newCoverage(pass)
-	cov.addRoots(roots, func(_ *coverType, f *types.Var) bool {
-		next := structElem(f.Type())
-		for _, l := range leaves {
-			if next == l {
-				return false
-			}
-		}
-		return true
-	})
+	cov.addRoots(roots, func(_ *coverType, f *types.Var) bool { return !leaves[structElem(f.Type())] })
 	cov.collectExemptions("R8", append([]*Package{pass.Pkg}, cov.definingPackages()...))
 	cov.collectErasures()
 	for _, fd := range consumers {

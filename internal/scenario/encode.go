@@ -80,7 +80,6 @@ func (e *encoder) raw(s string) {
 }
 
 func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
-func (e *encoder) int(v int)   { e.i64(int64(v)) }
 
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 

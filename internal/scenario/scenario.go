@@ -32,10 +32,8 @@ import (
 // SchemeVersion salts every digest. Bump it whenever the canonical
 // encoding, the canonicalization rules, or the cached JSON payload layout
 // change in any way: old disk blobs then read as misses instead of
-// serving stale bytes. The golden digest tests pin the current scheme. A
-// change to the checkpoint codec alone bumps sim's checkpoint version
-// instead: its header check already turns stale checkpoint blobs into
-// misses.
+// serving stale bytes. The golden digest tests pin the current scheme.
+// The checkpoint codec's own version header covers checkpoint bytes.
 //
 // v3: the device-engine refactor — checkpoint codec v2 (new stats frame
 // fields) and the first engine device families (DAE, loop nest) changed the

@@ -68,7 +68,7 @@ func (k *codec) next() uint64 {
 	return v
 }
 
-// take consumes n bytes.
+// take consumes n bytes, or returns nil when fewer are left.
 func (k *codec) take(n int) []byte {
 	if k.left() < n {
 		k.fail("truncated")
@@ -103,27 +103,19 @@ func (k *codec) int(v *int) {
 }
 
 func (k *codec) u8(v *uint8) {
-	if k.dec {
-		*v = k.byte()
-	} else {
+	if !k.dec {
 		k.buf = append(k.buf, *v)
+	} else if b := k.take(1); b != nil {
+		*v = b[0]
 	}
-}
-
-// byte consumes one byte.
-func (k *codec) byte() uint8 {
-	if k.left() < 1 {
-		k.fail("truncated")
-		return 0
-	}
-	k.off++
-	return k.buf[k.off-1]
 }
 
 // bool walks a one-byte flag.
 func (k *codec) bool(v *bool) {
 	if k.dec {
-		*v = k.truth(uint64(k.byte()))
+		if b := k.take(1); b != nil {
+			*v = k.truth(uint64(b[0]))
+		}
 		return
 	}
 	b := uint8(0)
