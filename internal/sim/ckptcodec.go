@@ -78,11 +78,19 @@ func (k *codec) take(n int) []byte {
 	return k.buf[k.off-n : k.off]
 }
 
+// put appends one word. Appending to k.buf in place, rather than through
+// binary.AppendUint64's returned slice, stores only the new length, so an
+// append that fits pays no GC write barrier.
+func (k *codec) put(v uint64) {
+	k.buf = append(k.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+}
+
 func (k *codec) u64(v *uint64) {
 	if k.dec {
 		*v = k.next()
 	} else {
-		k.buf = binary.LittleEndian.AppendUint64(k.buf, *v)
+		k.put(*v)
 	}
 }
 
@@ -90,7 +98,7 @@ func (k *codec) i64(v *int64) {
 	if k.dec {
 		*v = int64(k.next())
 	} else {
-		k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(*v))
+		k.put(uint64(*v))
 	}
 }
 
@@ -98,7 +106,7 @@ func (k *codec) int(v *int) {
 	if k.dec {
 		*v = int(int64(k.next()))
 	} else {
-		k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(*v))
+		k.put(uint64(*v))
 	}
 }
 
