@@ -70,7 +70,10 @@ func checkDigestCoverage(pass *Pass) {
 	pass.eachFile(func(f *ast.File) {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if ok && fd.Recv != nil && (recvTypeName(fd) == recv || fd.Name.Name == "Digest") {
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			if n, _ := receiverType(pass, fd).(*types.Named); n != nil && n.Obj().Name() == recv || fd.Name.Name == "Digest" {
 				consumers = append(consumers, fd)
 			}
 		}
@@ -106,21 +109,6 @@ func checkDigestCoverage(pass *Pass) {
 			"no %s method reads %s field(s) %s: two values differing only there encode identically (aliasing in the result cache, or zeroing on resume); encode them (and bump SchemeVersion or the checkpoint version), erase them in Canonical, or add `//lint:exempt-field R8 %s.<Field> <reason>`",
 			recv, ct.display(), strings.Join(missing, ", "), ct.named.Obj().Name())
 	}
-}
-
-// recvTypeName returns the receiver's type name (pointer stripped), or "".
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if s, ok := t.(*ast.StarExpr); ok {
-		t = s.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
 
 // lookupNamed resolves a named type by name: first in the pass package's
