@@ -31,8 +31,8 @@ const (
 	ckptVersion = 3
 )
 
-// wordBytes is the width of every fixed-width field but bytes and the
-// checkpoint's own flags.
+// wordBytes is the width of every fixed-width field but the checkpoint's
+// one-byte ones (its flags, opcodes, registers and ROB entry states).
 const wordBytes = 8
 
 // codec walks persisted values. Encoding appends to buf. Decoding reads
