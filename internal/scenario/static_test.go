@@ -136,8 +136,11 @@ func TestStaticPredictionSingleflight(t *testing.T) {
 		t.Errorf("compute called %d times under concurrency, want 1", calls)
 	}
 	m := s.Metrics()
-	if m.StaticMisses != 1 || m.StaticHits != 7 {
-		t.Errorf("metrics %+v, want 1 static miss / 7 hits", m)
+	// A caller that arrives while the one computation is in flight is
+	// coalesced, a later one a memory hit; the split depends on
+	// scheduling, the sum does not.
+	if m.StaticMisses != 1 || m.StaticHits+m.StaticCoalesced != 7 {
+		t.Errorf("metrics %+v, want 1 static miss / 7 hits+coalesced", m)
 	}
 }
 
