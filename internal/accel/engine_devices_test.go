@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/isa"
+	"repro/internal/redfa"
+	"repro/internal/tcmalloc"
 )
 
 func daeMem(base uint64, words int) *isa.Memory {
@@ -160,14 +163,46 @@ func TestEngineDeviceInterfaceCompliance(t *testing.T) {
 	var _ isa.AccelSnapshotter = (*LoopNest)(nil)
 }
 
-// TestSnapshotRoundTripAllCounters mutates every device's diagnostic state
-// through real invocations, round-trips it through SnapshotState/RestoreState
-// into a fresh device of the same configuration, and requires the restored
-// device to equal the original field-for-field (reflect.DeepEqual). This is
-// the dynamic half of the counter-coverage guarantee; simlint R9's
-// device-snapshot audit is the static half.
+// TestSnapshotRoundTripAllCounters mutates every device family's state
+// through real invocations, walks it out with WalkState and back into a
+// fresh device of the same configuration, and requires the restored
+// device to equal the original field-for-field (reflect.DeepEqual). This
+// is the dynamic half of the counter-coverage guarantee; simlint R9's
+// device-snapshot audit is the static half. The heap case leaves a
+// journal of speculative invocations behind, and the mux nests the heap's
+// frame beside a fixed-latency device's.
 func TestSnapshotRoundTripAllCounters(t *testing.T) {
 	m := daeMem(0x4000, 16)
+	// The regex reads its input at 0x8000: a lone terminator, which
+	// matches because the start state's final word is set.
+	m.Store(0x8000, redfa.Terminator)
+	m.Store(0x9000+8, 1)
+	layout := redfa.Layout{TableBase: 0xa000, FinalBase: 0x9000, Start: 1, States: 2}
+	heap := func() *Heap {
+		a := tcmalloc.New(0x100000, 1<<20)
+		for c := 0; c < tcmalloc.NumClasses; c++ {
+			if err := a.Refill(c, 4); err != nil {
+				panic(err)
+			}
+		}
+		return NewHeap(a)
+	}
+	mux := func() isa.AccelDevice {
+		d, err := NewMux(NewFixedLatency(3), heap())
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	// speculate leaves a heap journal: allocations and a free after a
+	// mark that nothing trims, as in flight at a checkpoint.
+	speculate := func(d isa.AccelDevice, kind func(int64) int64) {
+		d.(isa.AccelJournal).Mark()
+		p := d.Invoke(isa.AccelCall{Kind: kind(HeapMalloc), Args: [3]uint64{40}}, nil).Value
+		d.Invoke(isa.AccelCall{Kind: kind(HeapMalloc), Args: [3]uint64{100}}, nil)
+		d.Invoke(isa.AccelCall{Kind: kind(HeapFree), Args: [3]uint64{p}}, nil)
+		d.Invoke(isa.AccelCall{Kind: kind(HeapFree), Args: [3]uint64{0xbad}}, nil)
+	}
 	cases := []struct {
 		name  string
 		dev   isa.AccelDevice
@@ -194,22 +229,66 @@ func TestSnapshotRoundTripAllCounters(t *testing.T) {
 				d.Invoke(isa.AccelCall{Kind: LoopNestRun, Args: [3]uint64{3, 11, 0}}, nil)
 			},
 		},
+		{
+			"heap", heap(), heap(),
+			func(d isa.AccelDevice) { speculate(d, func(k int64) int64 { return k }) },
+		},
+		{
+			"matmul", NewMatMul(2, 16), NewMatMul(2, 16),
+			func(d isa.AccelDevice) {
+				d.Invoke(isa.AccelCall{Kind: MatMulMAC, Args: [3]uint64{0x4000, 0x4000, 0x4000}}, m)
+				d.(*MatMul).pending = nil // per-invocation scratch
+			},
+		},
+		{
+			"hashmap", NewHashMap(0x40000, 16), NewHashMap(0x40000, 16),
+			func(d isa.AccelDevice) {
+				hm := d.(*HashMap)
+				invoke(hm, isa.NewMemory(), HashInsert, 42, 7)
+				invoke(hm, m, HashLookup, 42)
+				hm.pending = nil // per-invocation scratch
+			},
+		},
+		{
+			"regex", NewRegex(layout), NewRegex(layout),
+			func(d isa.AccelDevice) {
+				d.Invoke(isa.AccelCall{Kind: RegexMatch, Args: [3]uint64{0x8000}}, m)
+				d.Invoke(isa.AccelCall{Kind: RegexMatch, Args: [3]uint64{0x4000}}, m)
+			},
+		},
+		{
+			"strcmp", NewStrCmp(), NewStrCmp(),
+			func(d isa.AccelDevice) {
+				d.Invoke(isa.AccelCall{Kind: StrCompare, Args: [3]uint64{0x4000, 0x4008}}, m)
+			},
+		},
+		{
+			"mux", mux(), mux(),
+			func(d isa.AccelDevice) {
+				d.Invoke(isa.AccelCall{Kind: MuxKind(0, 0), Args: [3]uint64{5}}, nil)
+				speculate(d, func(k int64) int64 { return MuxKind(1, k) })
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			c.drive(c.dev)
-			snap := c.dev.(isa.AccelSnapshotter).SnapshotState()
-			if err := c.fresh.(isa.AccelSnapshotter).RestoreState(snap); err != nil {
-				t.Fatalf("restore: %v", err)
+			if reflect.DeepEqual(c.fresh, c.dev) {
+				t.Fatal("driving the device changed none of its state")
+			}
+			frame, err := ckpt.Encode(c.dev.(isa.AccelSnapshotter).WalkState)
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if err := ckpt.Decode(frame, c.fresh.(isa.AccelSnapshotter).WalkState); err != nil {
+				t.Fatalf("decode: %v", err)
 			}
 			if !reflect.DeepEqual(c.fresh, c.dev) {
 				t.Errorf("restored device diverges:\n got %+v\nwant %+v", c.fresh, c.dev)
 			}
 			// Truncated frames must be rejected, not silently zeroed.
-			if len(snap) > 0 {
-				if err := c.fresh.(isa.AccelSnapshotter).RestoreState(snap[:len(snap)-1]); err == nil {
-					t.Error("truncated frame accepted")
-				}
+			if err := ckpt.Decode(frame[:len(frame)-1], c.fresh.(isa.AccelSnapshotter).WalkState); err == nil {
+				t.Error("truncated frame accepted")
 			}
 		})
 	}

@@ -9,6 +9,8 @@ package isa
 // memory operation routed through the core's LSQ and cache hierarchy,
 // arbitrated by age as in the paper's methodology.
 
+import "repro/internal/ckpt"
+
 // AccelMemOp is one memory word access performed by an accelerator
 // invocation. Size is in bytes (at most 64, the paper's assumed maximum
 // contiguous request width, same as an AVX-512 register); accesses wider
@@ -134,15 +136,15 @@ type AccelJournal interface {
 }
 
 // AccelSnapshotter is implemented by devices whose state must survive a
-// simulator checkpoint/resume cycle. SnapshotState returns an opaque,
-// deterministic byte encoding of the device's mutable state (counters,
-// tables, journals); RestoreState reconstructs that state in a freshly built
-// device of the same configuration. A device without mutable state need not
-// implement the interface — the checkpoint layer then requires the device to
-// be pristine (never invoked) at snapshot time.
+// simulator checkpoint/resume cycle. WalkState walks the device's mutable
+// state (counters, tables, journals) through the checkpoint codec: it
+// encodes the state into the checkpoint's device frame, or decodes the
+// frame into a freshly built device of the same configuration. A device
+// without mutable state need not implement the interface — the checkpoint
+// layer then requires the device to be pristine (never invoked) at
+// snapshot time.
 type AccelSnapshotter interface {
-	SnapshotState() []byte
-	RestoreState(data []byte) error
+	WalkState(k *ckpt.Codec)
 }
 
 // AccelStore is a pending accelerator store: a word address and the data to

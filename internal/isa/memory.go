@@ -1,6 +1,6 @@
 package isa
 
-import "sort"
+import "repro/internal/ckpt"
 
 // Memory is the functional (architectural) memory image shared by the
 // interpreter and the simulator. It is a sparse, paged store of 8-byte words
@@ -75,46 +75,19 @@ func (m *Memory) Clone() *Memory {
 	return c
 }
 
-// PageState is one resident page of a MemoryState snapshot.
-type PageState struct {
-	ID   uint64
-	Data [pageWords]uint64
-}
-
-// MemoryState is a deterministic deep snapshot of a Memory image, including
-// the access counters (unlike Clone, which resets them — checkpoint resume
-// must reproduce counter values bit-identically). Pages are sorted by ID so
-// two snapshots of equal images are deeply equal regardless of map iteration
-// order.
-type MemoryState struct {
-	Pages  []PageState
-	Reads  uint64
-	Writes uint64
-}
-
-// Snapshot captures the full memory image, counters included.
-func (m *Memory) Snapshot() MemoryState {
-	s := MemoryState{Reads: m.Reads, Writes: m.Writes}
-	ids := make([]uint64, 0, len(m.pages))
-	for pid := range m.pages {
-		ids = append(ids, pid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, pid := range ids {
-		s.Pages = append(s.Pages, PageState{ID: pid, Data: *m.pages[pid]})
-	}
-	return s
-}
-
-// RestoreMemory builds a Memory image from a snapshot.
-func RestoreMemory(s MemoryState) *Memory {
-	m := NewMemory()
-	m.Reads, m.Writes = s.Reads, s.Writes
-	for _, p := range s.Pages {
-		cp := page(p.Data)
-		m.pages[p.ID] = &cp
-	}
-	return m
+// WalkState walks the memory image through the checkpoint codec: the
+// access counters (unlike Clone, which resets them, a resume must
+// reproduce them), then each resident page in ascending page order.
+// Decoding replaces the image.
+func (m *Memory) WalkState(k *ckpt.Codec) {
+	k.U64(&m.Reads)
+	k.U64(&m.Writes)
+	ckpt.Map(k, &m.pages, ckpt.WordBytes*(1+pageWords), func(k *ckpt.Codec, p **page) {
+		if *p == nil {
+			*p = new(page)
+		}
+		k.Words((*p)[:])
+	})
 }
 
 // Equal reports whether two memory images hold identical word contents.

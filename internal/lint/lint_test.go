@@ -80,6 +80,8 @@ func TestRuleFixtures(t *testing.T) {
 		{name: "R8-renamed-encoder", file: "r8renamed.go", as: "internal/sim/fixturerenamed"},
 		{name: "R8R9-checkpoint-in-scope", file: "r8ckpt.go", as: "internal/sim/fixtureckpt"},
 		{name: "R8R9-checkpoint-out-of-scope", file: "r8ckpt.go", as: "internal/experiments/fixtureckpt", ignores: true},
+		{name: "R8-walk-in-scope", file: "r8walk.go", as: "internal/mem/fixturewalk"},
+		{name: "R8-walk-out-of-scope", file: "r8walk.go", as: "internal/experiments/fixturewalk", ignores: true},
 		{name: "R9-in-scope", file: "r9.go", as: "internal/sim/fixture9"},
 		{name: "R9-out-of-scope", file: "r9.go", as: "internal/textplot/fixture9", ignores: true},
 		{name: "R9-devsnap-in-scope", file: "rdevsnap.go", as: "internal/accel/fixturedev"},

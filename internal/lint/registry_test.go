@@ -54,7 +54,7 @@ func TestRegistryBrokenModule(t *testing.T) {
 	want := wantDiags(t, filepath.Join(dir, "internal", "accel", "devices.go"))
 	compareDiags(t, want, diags)
 	if len(diags) == 1 {
-		for _, frag := range []string{"Gamma", "SnapshotState/RestoreState", "workload.Spec.Build"} {
+		for _, frag := range []string{"Gamma", "WalkState", "workload.Spec.Build"} {
 			if !strings.Contains(diags[0].Message, frag) {
 				t.Errorf("diagnostic %q missing %q", diags[0].Message, frag)
 			}
@@ -76,10 +76,10 @@ func TestRegistrySurfaceDeletion(t *testing.T) {
 		want      string // substring of the R13 message
 	}{
 		{
-			name:   "snapshot-pair",
-			tags:   []string{"alpha-snapshot"},
+			name:   "walk-state",
+			tags:   []string{"alpha-walk"},
 			family: "Alpha",
-			want:   "SnapshotState/RestoreState pair",
+			want:   "WalkState method",
 		},
 		{
 			// Spec.Build sits in the same package and reaches Beta's

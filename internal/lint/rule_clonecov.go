@@ -39,12 +39,12 @@ var cloneEmitRoots = []struct{ pkgSuffix, name string }{
 //
 // A fourth sub-check, device snapshot coverage, runs under internal/accel
 // (see rule_devsnap.go): runtime state a snapshottable device mutates must
-// be captured by SnapshotState and restored by RestoreState, or carry an
-// exemption manifest — the checkpoint-side mirror of clone coverage.
+// be walked by its WalkState, or carry an exemption manifest — the
+// checkpoint-side mirror of clone coverage.
 var ruleCloneCov = &Rule{
 	ID:   "R9",
 	Name: "clone-and-emit-coverage",
-	Doc:  "cached result types (sim.Stats, sim.Checkpoint, scenario.MeasureRecord) must be JSON-serializable, deep-copied field-exhaustively by Clone, and fully read by their reporting methods; device runtime state must be snapshot/restore-covered",
+	Doc:  "cached result types (sim.Stats, sim.Checkpoint, scenario.MeasureRecord) must be JSON-serializable, deep-copied field-exhaustively by Clone, and fully read by their reporting methods; device runtime state must be walked by WalkState",
 	Applies: func(rel string) bool {
 		return underAny(rel, "internal/sim", "internal/scenario", "internal/accel")
 	},

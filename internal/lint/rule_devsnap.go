@@ -9,18 +9,18 @@ import (
 // Device snapshot coverage — R9's sub-check for the accelerator layer.
 //
 // A device that implements isa.AccelSnapshotter participates in simulator
-// checkpointing: its SnapshotState frame is the only thing that carries the
+// checkpointing: its WalkState frame is the only thing that carries the
 // device's runtime state across a checkpoint/restore boundary. A field the
 // device mutates at run time (a diagnostic counter bumped in Invoke, a
-// mode latch flipped in Mark/Rewind) but never captures silently diverges
+// mode latch flipped in Mark/Rewind) but never walks silently diverges
 // on every checkpoint fork: the forked run reports zeros while the straight
-// run reports totals, and nothing fails. Statically, "mutated by a non-
-// snapshot method" is a precise stand-in for "runtime state", so the audit
-// is: every exported field assigned (or ++/--'d) by any method of a
-// snapshottable device other than SnapshotState/RestoreState must be
-// referenced by BOTH SnapshotState and RestoreState, or carry a
-// //lint:exempt-field R9 manifest naming why it may legally diverge
-// (per-invocation scratch dead at cycle boundaries, for example).
+// run reports totals, and nothing fails. Statically, "mutated by a method
+// other than WalkState" is a precise stand-in for "runtime state", so the
+// audit is: every exported field assigned (or ++/--'d) by any other method
+// of a snapshottable device must be referenced by WalkState, which both
+// encodes and decodes it, or carry a //lint:exempt-field R9 manifest
+// naming why it may legally diverge (per-invocation scratch dead at cycle
+// boundaries, for example).
 //
 // Construction-time configuration (set once by a New* constructor, never
 // assigned by a method) is not runtime state and is not audited — the
@@ -30,8 +30,7 @@ import (
 // devSnapAudit gathers one snapshottable device type's declarations.
 type devSnapAudit struct {
 	named    *types.Named
-	snapshot *ast.FuncDecl
-	restore  *ast.FuncDecl
+	walk     *ast.FuncDecl
 	mutators []*ast.FuncDecl
 }
 
@@ -58,12 +57,9 @@ func checkDeviceSnapshots(pass *Pass) {
 				audits[named] = a
 				order = append(order, named)
 			}
-			switch fd.Name.Name {
-			case "SnapshotState":
-				a.snapshot = fd
-			case "RestoreState":
-				a.restore = fd
-			default:
+			if fd.Name.Name == "WalkState" {
+				a.walk = fd
+			} else {
 				a.mutators = append(a.mutators, fd)
 			}
 		}
@@ -72,14 +68,12 @@ func checkDeviceSnapshots(pass *Pass) {
 		return order[i].Obj().Name() < order[j].Obj().Name()
 	})
 	for _, named := range order {
-		a := audits[named]
-		// Only types implementing the full snapshot pair are in the
-		// checkpoint protocol; the simulator separately refuses to
-		// checkpoint an invoked device without one.
-		if a.snapshot == nil || a.restore == nil {
-			continue
+		// Only types with a WalkState method are in the checkpoint
+		// protocol; the simulator separately refuses to checkpoint an
+		// invoked device without one.
+		if a := audits[named]; a.walk != nil {
+			auditDeviceSnapshot(pass, a)
 		}
-		auditDeviceSnapshot(pass, a)
 	}
 }
 
@@ -93,8 +87,7 @@ func auditDeviceSnapshot(pass *Pass, a *devSnapAudit) {
 			}
 		}
 	}
-	snapRefs := referencedFields(pass, a.named, a.snapshot)
-	restRefs := referencedFields(pass, a.named, a.restore)
+	walked := referencedFields(pass, a.named, a.walk)
 
 	cov := newCoverage(pass)
 	cov.addRoots([]*types.Named{a.named}, func(*coverType, *types.Var) bool { return false })
@@ -104,20 +97,13 @@ func auditDeviceSnapshot(pass *Pass, a *devSnapAudit) {
 	for i := 0; i < str.NumFields(); i++ {
 		f := str.Field(i)
 		method, mutated := mutatedBy[f.Name()]
-		if !f.Exported() || !mutated || (ct != nil && cov.isExempt(ct, f.Name())) {
+		if !f.Exported() || !mutated || walked[f.Name()] || (ct != nil && cov.isExempt(ct, f.Name())) {
 			continue
 		}
 		name := a.named.Obj().Name()
-		if !snapRefs[f.Name()] {
-			pass.Reportf(a.snapshot.Name.Pos(),
-				"%s.%s is runtime state (mutated by %s) but SnapshotState never captures it: the counter silently diverges across checkpoint forks; capture it or exempt with `//lint:exempt-field R9 %s.%s <reason>`",
-				name, f.Name(), method, name, f.Name())
-		}
-		if !restRefs[f.Name()] {
-			pass.Reportf(a.restore.Name.Pos(),
-				"%s.%s is runtime state (mutated by %s) but RestoreState never restores it: a restored device resumes with a stale value; restore it or exempt with `//lint:exempt-field R9 %s.%s <reason>`",
-				name, f.Name(), method, name, f.Name())
-		}
+		pass.Reportf(a.walk.Name.Pos(),
+			"%s.%s is runtime state (mutated by %s) but WalkState never walks it: the counter silently diverges across checkpoint forks; walk it or exempt with `//lint:exempt-field R9 %s.%s <reason>`",
+			name, f.Name(), method, name, f.Name())
 	}
 }
 
@@ -148,7 +134,7 @@ func assignedFields(pass *Pass, named *types.Named, fd *ast.FuncDecl) map[string
 
 // referencedFields returns every selector x.F in fd's body with x of the
 // named type (pointer stripped) — reads and writes alike, which is the
-// right notion for both the capture and the restore side.
+// right notion for a walk that both encodes and decodes.
 func referencedFields(pass *Pass, named *types.Named, fd *ast.FuncDecl) map[string]bool {
 	out := map[string]bool{}
 	if fd == nil || fd.Body == nil {

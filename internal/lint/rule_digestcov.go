@@ -6,39 +6,45 @@ import (
 	"strings"
 )
 
-// digestAudits are R8's audits, one per package that owns an encoder.
-// Each names the receiver type whose methods make up the encoder and the
-// root struct types, defined in that package, whose transitive exported
-// field set the encoder must cover. A field reachable from a root that
-// never reaches the encoder makes two different values encode alike:
-// for the spec types the cache then serves one run's Stats for the
-// other, the silent-aliasing failure DESIGN.md's scenario section rules
-// out; for Checkpoint a microarch field added to Core state but never
-// walked silently zeroes on every resume-from-disk. sim.Config is walked
-// once, by the checkpoint codec (Config.AppendCanonical is that walk),
-// so it is audited there; the scenario digest encoder consumes it whole.
+// digestAudits are R8's audits, one per package that owns a checkpoint
+// walk or an encoder. Each names the root struct types, defined in that
+// package, whose transitive exported field set its consumers must cover,
+// and recv, the receiver type whose methods make up an encoder. An audit
+// without recv is a checkpoint audit: its consumers are the package's
+// walks, every function with a *ckpt.Codec parameter. A field reachable
+// from a root that never reaches a consumer makes two different values
+// encode alike: for the spec types the cache then serves one run's Stats
+// for the other, the silent-aliasing failure DESIGN.md's scenario section
+// rules out; for Checkpoint and the components whose frames it carries,
+// state added to the core but never walked silently zeroes on every
+// resume-from-disk. sim.Config is walked once, by the checkpoint codec
+// (Config.AppendCanonical is that walk), so it is audited there; the
+// scenario digest encoder consumes it whole.
 var digestAudits = []struct {
 	pkg, recv string
 	roots     []string
 }{
-	{"internal/sim", "codec", []string{"Config", "Checkpoint"}},
+	{"internal/sim", "", []string{"Config", "Checkpoint"}},
+	{"internal/isa", "", []string{"Memory"}},
+	{"internal/mem", "", []string{"CacheStats", "TLBStats", "DRAMStats"}},
+	{"internal/tcmalloc", "", []string{"Allocator"}},
 	{"internal/scenario", "encoder", []string{"Spec", "MeasureSpec"}},
 }
 
 // ruleDigestCov (R8) proves encoder exhaustiveness: every exported field
 // of an audit's roots — and of every module-internal struct reachable
-// through their fields — must be (a) read by an encoder method or a
-// Digest method, (b) erased to a zero value in a Canonical method (the
-// documented "cannot influence results" list), or (c) named in a
-// //lint:exempt-field R8 manifest directive with a reason. A field whose
-// type is another audit's root is a leaf: it must be read, and its own
-// fields are checked where their walk lives.
+// through their fields — must be (a) read by a consumer (a checkpoint
+// walk, an encoder method, or a Digest method), (b) erased to a zero
+// value in a Canonical method (the documented "cannot influence results"
+// list), or (c) named in a //lint:exempt-field R8 manifest directive with
+// a reason. A field whose type is another audit's root is a leaf: it
+// must be read, and its own fields are checked where their walk lives.
 var ruleDigestCov = &Rule{
 	ID:   "R8",
 	Name: "digest-field-coverage",
-	Doc:  "every field reachable from sim.Config / sim.Checkpoint (checkpoint codec) and scenario.Spec / scenario.MeasureSpec (digest encoder) must reach its encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
+	Doc:  "every field reachable from sim.Config / sim.Checkpoint, isa.Memory, mem's cache/TLB/DRAM stats and tcmalloc.Allocator (checkpoint walks) and scenario.Spec / scenario.MeasureSpec (digest encoder) must reach its walk or encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
 	Applies: func(rel string) bool {
-		return underAny(rel, "internal/scenario", "internal/sim")
+		return underAny(rel, "internal/scenario", "internal/sim", "internal/isa", "internal/mem", "internal/tcmalloc")
 	},
 	Check: checkDigestCoverage,
 }
@@ -63,17 +69,17 @@ func checkDigestCoverage(pass *Pass) {
 	if len(roots) == 0 {
 		return
 	}
-	// Consumers: the encoder's methods plus the Digest methods. Describe
-	// and friends deliberately do not count — display code reading a
-	// field proves nothing about its identity contribution.
+	consumer := "checkpoint walk (function with a *ckpt.Codec parameter)"
+	if recv != "" {
+		consumer = recv + " method"
+	}
+	// Consumers: the walks or the encoder's methods, plus the Digest
+	// methods. Describe and friends deliberately do not count — display
+	// code reading a field proves nothing about its identity contribution.
 	var consumers []*ast.FuncDecl
 	pass.eachFile(func(f *ast.File) {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil {
-				continue
-			}
-			if n, _ := receiverType(pass, fd).(*types.Named); n != nil && n.Obj().Name() == recv || fd.Name.Name == "Digest" {
+			if fd, ok := d.(*ast.FuncDecl); ok && isConsumer(pass, fd, recv) {
 				consumers = append(consumers, fd)
 			}
 		}
@@ -82,7 +88,7 @@ func checkDigestCoverage(pass *Pass) {
 		// A renamed encoder must not switch the audit off silently.
 		for _, r := range roots {
 			if r.Obj().Pkg() == pass.Pkg.Types {
-				pass.Reportf(r.Obj().Pos(), "no %s method encodes %s: R8 cannot audit it; walk it in %s methods or update R8's digestAudits", recv, r.Obj().Name(), recv)
+				pass.Reportf(r.Obj().Pos(), "no %s encodes %s: R8 cannot audit it; walk it in a %s or update R8's digestAudits", consumer, r.Obj().Name(), consumer)
 			}
 		}
 		return
@@ -106,9 +112,33 @@ func checkDigestCoverage(pass *Pass) {
 			continue
 		}
 		pass.Reportf(anchor.Pos(),
-			"no %s method reads %s field(s) %s: two values differing only there encode identically (aliasing in the result cache, or zeroing on resume); encode them (and bump SchemeVersion or the checkpoint version), erase them in Canonical, or add `//lint:exempt-field R8 %s.<Field> <reason>`",
-			recv, ct.display(), strings.Join(missing, ", "), ct.named.Obj().Name())
+			"no %s reads %s field(s) %s: two values differing only there encode identically (aliasing in the result cache, or zeroing on resume); encode them (and bump SchemeVersion or the checkpoint version), erase them in Canonical, or add `//lint:exempt-field R8 %s.<Field> <reason>`",
+			consumer, ct.display(), strings.Join(missing, ", "), ct.named.Obj().Name())
 	}
+}
+
+// isConsumer reports whether fd is one of an audit's consumers: a Digest
+// method, a method on the encoder receiver recv, or, for a checkpoint
+// audit (recv ""), a function with a *ckpt.Codec parameter.
+func isConsumer(pass *Pass, fd *ast.FuncDecl, recv string) bool {
+	if fd.Recv != nil && fd.Name.Name == "Digest" {
+		return true
+	}
+	if recv != "" {
+		n, _ := receiverType(pass, fd).(*types.Named)
+		return n != nil && n.Obj().Name() == recv
+	}
+	sig := funcSignature(pass, fd)
+	if sig == nil {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if n := namedOf(sig.Params().At(i).Type()); n != nil && n.Obj().Name() == "Codec" &&
+			n.Obj().Pkg() != nil && strings.HasSuffix(n.Obj().Pkg().Path(), "internal/ckpt") {
+			return true
+		}
+	}
+	return false
 }
 
 // lookupNamed resolves a named type by name: first in the pass package's

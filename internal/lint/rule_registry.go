@@ -12,9 +12,9 @@ import (
 // (DESIGN.md); this rule replaces the reviewer's copy of that checklist
 // so the next family cannot land half-wired. The surfaces:
 //
-//   - a SnapshotState/RestoreState pair, so the checkpoint codec can
-//     round-trip the device (always checkable: the methods live on the
-//     family type itself);
+//   - a WalkState method, so the checkpoint codec can round-trip the
+//     device (always checkable: the method lives on the family type
+//     itself);
 //   - an exported internal/workload constructor that reaches the family
 //     and stamps a canonical DeviceKey — the identity the scenario
 //     store caches under. Only package-level functions count: the
@@ -37,7 +37,7 @@ import (
 var ruleRegistry = &Rule{
 	ID:   "R13",
 	Name: "device-registry-consistency",
-	Doc:  "a device family must appear in every integration surface: snapshot pair, workload DeviceKey, workload.Spec.Build registry entry, and (engines) a staticmodel EngineOccupancy sweep",
+	Doc:  "a device family must appear in every integration surface: WalkState method, workload DeviceKey, workload.Spec.Build registry entry, and (engines) a staticmodel EngineOccupancy sweep",
 	Applies: func(rel string) bool {
 		return rel == "internal/accel"
 	},
@@ -54,8 +54,8 @@ func checkRegistry(pass *Pass) {
 	for _, named := range ix.familiesIn(pass.Pkg) {
 		var missing []string
 
-		if !hasMethod(named, "SnapshotState") || !hasMethod(named, "RestoreState") {
-			missing = append(missing, "a SnapshotState/RestoreState pair for the checkpoint codec")
+		if !hasMethod(named, "WalkState") {
+			missing = append(missing, "a WalkState method for the checkpoint codec")
 		}
 
 		if wp != nil {

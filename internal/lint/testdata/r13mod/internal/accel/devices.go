@@ -19,8 +19,7 @@ func (d *Alpha) Invoke(call isa.AccelCall, mem isa.WordReader) isa.AccelResult {
 	return isa.AccelResult{Value: call.Args[0] + d.lat, Latency: int(d.lat)}
 }
 
-func (d *Alpha) SnapshotState() []uint64     { return []uint64{d.lat} } // r13drop:alpha-snapshot
-func (d *Alpha) RestoreState(words []uint64) { d.lat = words[0] }       // r13drop:alpha-snapshot
+func (d *Alpha) WalkState(words *[]uint64) { *words = append(*words, d.lat) } // r13drop:alpha-walk
 
 // Beta is the engine family: its schedule chunks the word count.
 type Beta struct{ chunk int }
@@ -44,5 +43,4 @@ func (d *Beta) Invoke(call isa.AccelCall, mem isa.WordReader) isa.AccelResult {
 	return isa.AccelResult{Value: call.Args[0], Schedule: sched}
 }
 
-func (d *Beta) SnapshotState() []uint64     { return []uint64{uint64(d.chunk)} }
-func (d *Beta) RestoreState(words []uint64) { d.chunk = int(words[0]) }
+func (d *Beta) WalkState(words *[]uint64) { *words = append(*words, uint64(d.chunk)) }

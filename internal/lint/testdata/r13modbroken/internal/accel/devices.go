@@ -1,6 +1,6 @@
 // Package accel declares a half-wired device family: Gamma has a
-// workload constructor with a DeviceKey, but is missing its
-// RestoreState (so the snapshot pair is incomplete) and is never
+// workload constructor with a DeviceKey, but has no WalkState (its
+// snapshot helper is not the checkpoint surface) and is never
 // registered in workload.Spec.Build. R13 must report both gaps in one
 // diagnostic anchored at the type declaration.
 package accel
@@ -19,4 +19,4 @@ func (d *Gamma) Invoke(call isa.AccelCall, mem isa.WordReader) isa.AccelResult {
 	return isa.AccelResult{Value: call.Args[0] + d.lat, Latency: int(d.lat)}
 }
 
-func (d *Gamma) SnapshotState() []uint64 { return []uint64{d.lat} }
+func (d *Gamma) Snapshot() []uint64 { return []uint64{d.lat} }

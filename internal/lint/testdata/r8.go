@@ -1,10 +1,12 @@
 // Fixture for R8 (digest-field-coverage) on sim.Config. Posed as a
 // package under internal/sim, it defines a local stand-in for Config and
-// the checkpoint codec whose walk encodes it. Config.IQSize and LSQSize
-// are deliberately never walked; Name is erased by Canonical and Note
+// the checkpoint walk that encodes it. Config.IQSize and LSQSize are
+// deliberately never walked; Name is erased by Canonical and Note
 // carries an exemption manifest entry, so neither of those may be
 // reported.
 package fixture8
+
+import "repro/internal/ckpt"
 
 type Config struct {
 	Name    string // erased by Canonical: fine
@@ -27,20 +29,16 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-type codec struct{ buf []byte }
-
-// config is the first consumer declaration, so aggregated per-type
+// walkConfig is the first consumer declaration, so aggregated per-type
 // diagnostics anchor here.
-func (k *codec) config(c *Config) { // want:R8
-	k.int(&c.Width)
+func walkConfig(k *ckpt.Codec, c *Config) { // want:R8
+	k.Int(&c.Width)
 }
-
-func (k *codec) int(v *int) { k.buf = append(k.buf, byte(*v)) }
 
 // AppendCanonical reads no field itself; the walk is what R8 audits.
 func (c Config) AppendCanonical(b []byte) []byte {
 	c = c.Canonical()
-	k := codec{buf: b}
-	k.config(&c)
-	return k.buf
+	k := ckpt.Encoder(b)
+	walkConfig(&k, &c)
+	return k.Encoded()
 }

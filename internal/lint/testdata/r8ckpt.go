@@ -1,11 +1,13 @@
 // Fixture for R8's checkpoint-codec audit and R9's Checkpoint clone
 // audit. Posed as a package under internal/sim, it defines local
-// stand-ins for Checkpoint, its nested RenameEntry, and the binary
-// codec. TCABusyUntil is deliberately never encoded — the
+// stand-ins for Checkpoint, its nested RenameEntry, and the checkpoint
+// walk. TCABusyUntil is deliberately never walked — the
 // "microarchitectural field added to Core state but forgotten in the
 // codec" failure, which would silently zero on every resume — and
 // Clone aliases the Ports slice.
 package fixtureckpt
+
+import "repro/internal/ckpt"
 
 type RenameEntry struct {
 	Valid bool
@@ -13,42 +15,38 @@ type RenameEntry struct {
 }
 
 type Checkpoint struct {
-	Now          int64         // encoded: fine
-	Seq          uint64        // encoded: fine
-	TCABusyUntil int64         // never encoded -> reported (silently zero on resume)
-	Rename       []RenameEntry // encoded transitively: fine
-	Ports        []int64       // encoded, but aliased by Clone below
+	Now          int64         // walked: fine
+	Seq          uint64        // walked: fine
+	TCABusyUntil int64         // never walked -> reported (silently zero on resume)
+	Rename       []RenameEntry // walked transitively: fine
+	Ports        []int64       // walked, but aliased by Clone below
 	scratch      int64         // unexported: ignored by the digest audit
 }
 
-// checkpoint is the first consumer declaration, so aggregated per-type
-// diagnostics anchor here.
-func (k *codec) checkpoint(ck *Checkpoint) { // want:R8
-	k.push(uint64(ck.Now))
-	k.push(ck.Seq)
-	for _, rn := range ck.Rename {
-		if rn.Valid {
-			k.push(1)
-		}
-		k.push(rn.Seq)
+// walkCheckpoint is the first consumer declaration, so aggregated
+// per-type diagnostics anchor here.
+func walkCheckpoint(k *ckpt.Codec, ck *Checkpoint) { // want:R8
+	k.I64(&ck.Now)
+	k.U64(&ck.Seq)
+	for i := range ck.Rename {
+		walkRename(k, &ck.Rename[i])
 	}
-	for _, p := range ck.Ports {
-		k.push(uint64(p))
+	for i := range ck.Ports {
+		k.I64(&ck.Ports[i])
 	}
 }
 
-type codec struct{ buf []byte }
-
-func (k *codec) push(v uint64) {
-	k.buf = append(k.buf, byte(v))
+func walkRename(k *ckpt.Codec, rn *RenameEntry) {
+	k.Bool(&rn.Valid)
+	k.U64(&rn.Seq)
 }
 
-// MarshalBinary delegates to the codec; its own reads do NOT count as
-// coverage (only codec methods and Digest funcs are consumers).
+// MarshalBinary delegates to the walk; its own reads do NOT count as
+// coverage (only walks and Digest funcs are consumers).
 func (ck *Checkpoint) MarshalBinary() []byte {
-	var k codec
-	k.checkpoint(ck)
-	return k.buf
+	k := ckpt.Encoder(nil)
+	walkCheckpoint(&k, ck)
+	return k.Encoded()
 }
 
 // Clone deep-copies Rename but aliases Ports.

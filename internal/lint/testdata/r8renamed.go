@@ -1,7 +1,7 @@
-// Fixture for R8's guard against an encoder it cannot find. Posed as a
-// package under internal/sim, it walks Checkpoint in methods of a type
-// R8 does not know as the checkpoint codec, which must be reported
-// rather than leave the audit silently off.
+// Fixture for R8's guard against a walk it cannot find. Posed as a
+// package under internal/sim, it walks Checkpoint in methods that take
+// no *ckpt.Codec, so R8 does not know them as the checkpoint walk; that
+// must be reported rather than leave the audit silently off.
 package fixturerenamed
 
 type Checkpoint struct { // want:R8

@@ -1,14 +1,14 @@
 // Fixture for R9's device-snapshot sub-check. Posed as a package under
-// internal/accel, it defines three snapshottable devices: one that
-// captures and restores everything (clean), one that forgets a counter on
-// both sides (two diagnostics), and one whose scratch field carries an
-// exemption manifest. A fourth type mutates a field but implements no
-// snapshot pair, so it is outside the checkpoint protocol and ignored.
+// internal/accel, it defines three snapshottable devices: one that walks
+// everything it mutates (clean), one that forgets a counter (one
+// diagnostic), and one whose scratch field carries an exemption manifest.
+// A fourth type mutates a field but has no WalkState, so it is outside
+// the checkpoint protocol and ignored.
 package fixturedev
 
-import "encoding/binary"
+import "repro/internal/ckpt"
 
-// Clean captures both counters it mutates; configuration (Latency) is
+// Clean walks both counters it mutates; configuration (Latency) is
 // constructor-set and correctly absent from the frame.
 type Clean struct {
 	Latency     int
@@ -21,20 +21,12 @@ func (d *Clean) Invoke(words uint64) {
 	d.Words += words
 }
 
-func (d *Clean) SnapshotState() []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint64(b, d.Invocations)
-	b = binary.LittleEndian.AppendUint64(b, d.Words)
-	return b
+func (d *Clean) WalkState(k *ckpt.Codec) {
+	k.U64(&d.Invocations)
+	k.U64(&d.Words)
 }
 
-func (d *Clean) RestoreState(data []byte) error {
-	d.Invocations = binary.LittleEndian.Uint64(data)
-	d.Words = binary.LittleEndian.Uint64(data[8:])
-	return nil
-}
-
-// Leaky bumps Dropped in Invoke but its frame only carries Invocations:
+// Leaky bumps Dropped in Invoke but its walk only carries Invocations:
 // the counter silently diverges across checkpoint forks.
 type Leaky struct {
 	Invocations uint64
@@ -46,17 +38,12 @@ func (d *Leaky) Invoke() {
 	d.Dropped += 2
 }
 
-func (d *Leaky) SnapshotState() []byte { // want:R9
-	return binary.LittleEndian.AppendUint64(nil, d.Invocations)
-}
-
-func (d *Leaky) RestoreState(data []byte) error { // want:R9
-	d.Invocations = binary.LittleEndian.Uint64(data)
-	return nil
+func (d *Leaky) WalkState(k *ckpt.Codec) { // want:R9
+	k.U64(&d.Invocations)
 }
 
 // Exempted mutates Scratch but declares it per-invocation state, dead at
-// any cycle boundary — the manifest keeps both sides quiet.
+// any cycle boundary — the manifest keeps the audit quiet.
 type Exempted struct {
 	Invocations uint64
 	Scratch     []uint64
@@ -69,16 +56,11 @@ func (d *Exempted) Invoke(v uint64) {
 	d.Scratch = append(d.Scratch[:0], v)
 }
 
-func (d *Exempted) SnapshotState() []byte {
-	return binary.LittleEndian.AppendUint64(nil, d.Invocations)
+func (d *Exempted) WalkState(k *ckpt.Codec) {
+	k.U64(&d.Invocations)
 }
 
-func (d *Exempted) RestoreState(data []byte) error {
-	d.Invocations = binary.LittleEndian.Uint64(data)
-	return nil
-}
-
-// Stateless mutates a counter but has no snapshot pair: it is not in the
+// Stateless mutates a counter but has no WalkState: it is not in the
 // checkpoint protocol (the simulator refuses to checkpoint it once
 // invoked), so this audit has nothing to say about it.
 type Stateless struct {

@@ -270,3 +270,57 @@ func TestBadCheckpointBlobsAreMisses(t *testing.T) {
 		})
 	}
 }
+
+// TestCorruptCheckpointFrameFallsBack: a checkpoint blob whose hierarchy
+// frame claims the wrong line count still decodes, because component
+// frames are only validated on resume, so the store loads it as a disk
+// hit. The fork's resume then fails and the store falls back to a direct
+// run, whose Stats must equal a direct run's.
+func TestCorruptCheckpointFrameFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	spec := warmupHeavySpec(t, accel.LT, 2000)
+	if _, err := newTestStore(t, dir).RunStats(spec); err != nil {
+		t.Fatal(err)
+	}
+	path := newTestStore(t, dir).blobPath("ckpt", spec.warmupDigest())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b diskBlob
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sim.UnmarshalCheckpoint(b.Ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first cache's line count follows the L1I presence byte, the
+	// LRU stamp and the eight cache counters.
+	ck.Hier = append([]byte(nil), ck.Hier...)
+	ck.Hier[1+9*8]++
+	b.Ckpt = ck.MarshalBinary()
+	if data, err = json.Marshal(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestStore(t, dir)
+	other := warmupHeavySpec(t, accel.NLNT, 2000)
+	got, err := s.RunStats(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := other.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("fallback after a corrupt frame differs from a direct run")
+	}
+	if m := s.Metrics(); m.CkptDiskHits != 1 || m.CkptWarmups != 0 || m.CkptForks != 0 {
+		t.Errorf("%d disk hits / %d warmups / %d forks, want 1 / 0 / 0", m.CkptDiskHits, m.CkptWarmups, m.CkptForks)
+	}
+}

@@ -114,9 +114,10 @@ func BenchmarkRunMatMulHP(b *testing.B) {
 // fetch after a 20k-instruction warmup, as the scenario store snapshots
 // a warmup family. The store writes this blob to disk once and every
 // fork off it decodes it. SetBytes counts the encoded blob, so the MB/s
-// column is codec throughput for the round trip.
+// column is codec throughput for the round trip. The component frames
+// are opaque to this codec; BenchmarkCheckpointFork times their decode.
 func BenchmarkCheckpointCodec(b *testing.B) {
-	ck := heapWarmCheckpoint(b)
+	ck, _ := heapWarmCheckpoint(b)
 	b.SetBytes(int64(len(ck.MarshalBinary())))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -127,8 +128,41 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 	}
 }
 
-// heapWarmCheckpoint is the checkpoint BenchmarkCheckpointCodec times.
-func heapWarmCheckpoint(tb testing.TB) *Checkpoint {
+// BenchmarkCheckpointFork times a warm replay's checkpoint traffic: one
+// decode of the heap warm checkpoint's blob, then eight resumes from it,
+// one per mode with and without partial speculation, each with a fresh
+// device. A resume builds a core and decodes the memory, hierarchy,
+// predictor and device frames into it.
+func BenchmarkCheckpointFork(b *testing.B) {
+	ck, w := heapWarmCheckpoint(b)
+	blob := ck.MarshalBinary()
+	var cfgs []Config
+	for _, m := range accel.AllModes {
+		for _, partial := range []bool{false, true} {
+			cfg := HighPerfConfig()
+			cfg.Mode = m
+			cfg.PartialSpeculation = partial
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ck, err := UnmarshalCheckpoint(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			if _, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), ck); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// heapWarmCheckpoint is the checkpoint BenchmarkCheckpointCodec times,
+// with the workload it was taken from.
+func heapWarmCheckpoint(tb testing.TB) (*Checkpoint, *workload.Workload) {
 	tb.Helper()
 	w, err := workload.Heap(workload.HeapConfig{
 		Operations: 600, FillerPerCall: 20, Prefill: 512, Seed: 1, WarmupFiller: 20_000,
@@ -147,5 +181,5 @@ func heapWarmCheckpoint(tb testing.TB) *Checkpoint {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ck
+	return ck, w
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/bpred"
+	"repro/internal/ckpt"
 	"repro/internal/isa"
-	"repro/internal/mem"
 )
 
 // Warm-state checkpointing.
@@ -94,14 +94,20 @@ type Checkpoint struct {
 
 	Stats Stats
 
-	Mem  isa.MemoryState
-	Hier mem.HierarchyState
-	Pred bpred.State
+	// Mem, Hier and Pred are the frames the memory image, the memory
+	// hierarchy and the branch predictor write with their own walks
+	// (isa.Memory.WalkState, mem.Hierarchy.WalkState, bpred.WalkState).
+	// They stay opaque until a resume decodes them into the fresh core's
+	// components, which is when their contents are validated.
+	Mem  []byte
+	Hier []byte
+	Pred []byte
 
-	// DeviceState is the attached device's snapshot frame (nil when no
-	// device is attached); DevicePristine records that the device was
-	// never invoked, so a resume may substitute any freshly-constructed
-	// device of the same configuration.
+	// DeviceState is the attached device's frame, which its
+	// isa.AccelSnapshotter walk writes (nil when no device is attached);
+	// DevicePristine records that the device was never invoked, so a
+	// resume may substitute any freshly-constructed device of the same
+	// configuration.
 	DeviceState    []byte
 	DevicePristine bool
 }
@@ -137,8 +143,6 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 		TCABusyUntil:    c.tcaBusyUntil,
 		Pend:            append([]compRecord(nil), c.pend...),
 		Stats:           c.stats.Clone(),
-		Mem:             c.mem.Snapshot(),
-		Hier:            c.hier.Snapshot(),
 		DevicePristine:  !c.accelEverInvoked,
 	}
 	for r := range c.rename {
@@ -154,11 +158,17 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 	for cl := range c.fu {
 		ck.FreeUnits[cl] = append([]int64(nil), c.fu[cl]...)
 	}
-	ps, err := bpred.Snapshot(c.pred)
-	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint: %w", err)
+	var err error
+	frame := func(walk func(*ckpt.Codec)) []byte {
+		b, ferr := ckpt.Encode(walk)
+		if err == nil {
+			err = ferr
+		}
+		return b
 	}
-	ck.Pred = ps
+	ck.Mem = frame(c.mem.WalkState)
+	ck.Hier = frame(c.hier.WalkState)
+	ck.Pred = frame(func(k *ckpt.Codec) { bpred.WalkState(k, c.pred) })
 	if c.dev != nil {
 		snap, ok := c.dev.(isa.AccelSnapshotter)
 		if !ok {
@@ -166,8 +176,11 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 				return nil, fmt.Errorf("sim: checkpoint: device %q has been invoked but does not implement isa.AccelSnapshotter", c.dev.Name())
 			}
 		} else {
-			ck.DeviceState = snap.SnapshotState()
+			ck.DeviceState = frame(snap.WalkState)
 		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
 	return ck, nil
 }
@@ -265,12 +278,14 @@ func (c *Core) restoreFrom(ck *Checkpoint) error {
 	c.tcaBusyUntil = ck.TCABusyUntil
 	c.pend = append(c.pend[:0], ck.Pend...)
 	c.stats = ck.Stats.Clone()
-	c.mem = isa.RestoreMemory(ck.Mem)
-	if err := c.hier.Restore(ck.Hier); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
+	if err := ckpt.Decode(ck.Mem, c.mem.WalkState); err != nil {
+		return fmt.Errorf("sim: restore memory: %w", err)
 	}
-	if err := bpred.Restore(c.pred, ck.Pred); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
+	if err := ckpt.Decode(ck.Hier, c.hier.WalkState); err != nil {
+		return fmt.Errorf("sim: restore hierarchy: %w", err)
+	}
+	if err := ckpt.Decode(ck.Pred, func(k *ckpt.Codec) { bpred.WalkState(k, c.pred) }); err != nil {
+		return fmt.Errorf("sim: restore predictor: %w", err)
 	}
 	c.accelEverInvoked = !ck.DevicePristine
 	if ck.DeviceState != nil {
@@ -278,8 +293,8 @@ func (c *Core) restoreFrom(ck *Checkpoint) error {
 		if !ok {
 			return fmt.Errorf("sim: checkpoint carries device state but the attached device cannot restore it")
 		}
-		if err := snap.RestoreState(ck.DeviceState); err != nil {
-			return fmt.Errorf("sim: restore: %w", err)
+		if err := ckpt.Decode(ck.DeviceState, snap.WalkState); err != nil {
+			return fmt.Errorf("sim: restore device: %w", err)
 		}
 	} else if !ck.DevicePristine {
 		return fmt.Errorf("sim: checkpoint device was invoked but no state frame was captured")

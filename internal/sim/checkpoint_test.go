@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/proggen"
 	"repro/internal/tcmalloc"
@@ -47,10 +48,10 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 		t.Errorf("%s: stats diverge from uninterrupted run:\nuninterrupted:\n%v\n%s:\n%v",
 			label, want.Stats, label, got.Stats)
 	}
-	var ew, eg codec
-	ew.stats(&want.Stats)
-	eg.stats(&got.Stats)
-	if !bytes.Equal(ew.buf, eg.buf) {
+	ew, eg := ckpt.Encoder(nil), ckpt.Encoder(nil)
+	walkStats(&ew, &want.Stats)
+	walkStats(&eg, &got.Stats)
+	if !bytes.Equal(ew.Encoded(), eg.Encoded()) {
 		t.Errorf("%s: encoded stats are not byte-identical to the uninterrupted run", label)
 	}
 	if want.Regs != got.Regs {
@@ -354,5 +355,71 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 	if _, err := bcore.Checkpoint(); err == nil {
 		t.Error("invoked non-snapshottable device did not refuse to checkpoint")
+	}
+}
+
+// TestCheckpointComponentsRoundTrip: resuming from a mid-run checkpoint
+// rebuilds the memory image, the hierarchy and the predictor deeply
+// equal to the paused core's, for every standard workload and mode and
+// for a core with the L1I, next-line prefetch and both TLBs enabled.
+func TestCheckpointComponentsRoundTrip(t *testing.T) {
+	cfg, w := tinyCase(t)
+	tiny := ckptCase{name: "tiny-l1i", cfg: cfg, prog: w.Accelerated, dev: w.NewDevice}
+	for _, c := range append(workloadModeCases(t), tiny) {
+		core := c.newCore(t)
+		if _, err := core.RunTo(ckptBudget, refCycles(t, c)/2); err != nil {
+			t.Fatalf("%s: RunTo: %v", c.name, err)
+		}
+		ck, err := core.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: Checkpoint: %v", c.name, err)
+		}
+		var dev isa.AccelDevice
+		if c.dev != nil {
+			dev = c.dev()
+		}
+		fork, err := NewFromCheckpoint(c.cfg, c.prog, dev, ck)
+		if err != nil {
+			t.Fatalf("%s: NewFromCheckpoint: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(fork.mem, core.mem) {
+			t.Errorf("%s: resumed memory image differs", c.name)
+		}
+		if !reflect.DeepEqual(fork.hier, core.hier) {
+			t.Errorf("%s: resumed hierarchy differs", c.name)
+		}
+		if !reflect.DeepEqual(fork.pred, core.pred) {
+			t.Errorf("%s: resumed predictor differs", c.name)
+		}
+		if c.name != tiny.name {
+			continue
+		}
+		h := core.hier
+		if l1i := h.L1I.Stats(); l1i.Prefetches == 0 || l1i.PrefetchHits == 0 {
+			t.Errorf("%s: L1I prefetch counters %+v, want both moving", c.name, l1i)
+		}
+		if d, i := h.DTLB.Stats(), h.ITLB.Stats(); d.Misses == 0 || i.Misses == 0 {
+			t.Errorf("%s: TLB counters %+v / %+v, want misses on both", c.name, d, i)
+		}
+	}
+}
+
+// TestCheckpointCorruptFrameIsResumeError: a blob whose hierarchy frame
+// claims the wrong line count decodes, because component frames stay
+// opaque until a resume, and the resume then fails with an error.
+func TestCheckpointCorruptFrameIsResumeError(t *testing.T) {
+	cfg, w := tinyCase(t)
+	bad := *tinyCheckpoint(t)
+	// The first cache's line count follows the L1I presence byte, the
+	// LRU stamp and the eight cache counters.
+	at := 1 + 9*ckpt.WordBytes
+	bad.Hier = append([]byte(nil), bad.Hier...)
+	bad.Hier[at]++
+	ck, err := UnmarshalCheckpoint(bad.MarshalBinary())
+	if err != nil {
+		t.Fatalf("blob with a corrupt hierarchy frame did not decode: %v", err)
+	}
+	if _, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), ck); err == nil {
+		t.Error("resume accepted a hierarchy frame with the wrong line count")
 	}
 }

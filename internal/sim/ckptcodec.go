@@ -1,23 +1,21 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"repro/internal/bpred"
+	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// Binary checkpoint codec: fixed-width little-endian fields, length-prefixed
-// slices and strings, behind a magic and version header. One codec walks
-// each persisted type once in either direction — encoding appends every
-// field it visits, decoding overwrites it from the input — so no field can
-// be written one way and forgotten the other. The walk covers every field
-// of the Checkpoint, exported identity fields and unexported slab internals
-// alike, so decode(encode(ck)) is deeply equal to ck; and decoding accepts
-// only canonical bytes, so every blob that decodes re-encodes to itself.
-// simlint R8 audits the walk for exported-field exhaustiveness.
+// Binary checkpoint codec: one walk per persisted type over the
+// primitives of internal/ckpt, behind a magic and version header. The walk
+// covers every core-level field of the Checkpoint, exported identity
+// fields and unexported slab internals alike, so decode(encode(ck)) is
+// deeply equal to ck. The memory image, the hierarchy, the predictor and
+// the device are frames their own walks wrote; this codec carries them
+// as length-prefixed bytes and restoreFrom decodes them. simlint R8
+// audits the walk for exported-field exhaustiveness.
 
 const (
 	ckptMagic = 0x74636b70_73696d31 // "tckp" "sim1"
@@ -28,590 +26,296 @@ const (
 	// Stats.AccelOverlapCycles) joined the stats frame.
 	// v3: the config section is Config.AppendCanonical, the scenario
 	// digest's encoding, whose flags are words rather than bytes.
-	ckptVersion = 3
+	// v4: the memory, hierarchy and predictor sections are frames their
+	// components write, each behind a length word.
+	ckptVersion = 4
 )
-
-// wordBytes is the width of every fixed-width field but the checkpoint's
-// one-byte ones (its flags, opcodes, registers and ROB entry states).
-const wordBytes = 8
-
-// codec walks persisted values. Encoding appends to buf. Decoding reads
-// buf from off, overwrites each field it walks, and keeps the first error,
-// after which nothing is left to read and every further field decodes as
-// zero. Reading by offset leaves the buffer's pointer alone, so a read
-// pays no GC write barrier.
-type codec struct {
-	buf []byte
-	off int
-	dec bool
-	err error
-}
-
-func (k *codec) fail(format string, args ...any) {
-	if k.err == nil {
-		k.err = fmt.Errorf("sim: checkpoint decode: "+format, args...)
-	}
-	k.off = len(k.buf)
-}
-
-// left is the number of bytes not yet decoded.
-func (k *codec) left() int { return len(k.buf) - k.off }
-
-// next consumes one word.
-func (k *codec) next() uint64 {
-	if k.left() < wordBytes {
-		k.fail("truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(k.buf[k.off:])
-	k.off += wordBytes
-	return v
-}
-
-// take consumes n bytes, or returns nil when fewer are left.
-func (k *codec) take(n int) []byte {
-	if k.left() < n {
-		k.fail("truncated")
-		return nil
-	}
-	k.off += n
-	return k.buf[k.off-n : k.off]
-}
-
-// put appends one word. Appending to k.buf in place, rather than through
-// binary.AppendUint64's returned slice, stores only the new length, so an
-// append that fits pays no GC write barrier.
-func (k *codec) put(v uint64) {
-	k.buf = append(k.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func (k *codec) u64(v *uint64) {
-	if k.dec {
-		*v = k.next()
-	} else {
-		k.put(*v)
-	}
-}
-
-func (k *codec) i64(v *int64) {
-	if k.dec {
-		*v = int64(k.next())
-	} else {
-		k.put(uint64(*v))
-	}
-}
-
-func (k *codec) int(v *int) {
-	if k.dec {
-		*v = int(int64(k.next()))
-	} else {
-		k.put(uint64(*v))
-	}
-}
-
-func (k *codec) u8(v *uint8) {
-	if !k.dec {
-		k.buf = append(k.buf, *v)
-	} else if b := k.take(1); b != nil {
-		*v = b[0]
-	}
-}
-
-// bool walks a one-byte flag.
-func (k *codec) bool(v *bool) {
-	if k.dec {
-		if b := k.take(1); b != nil {
-			*v = k.truth(uint64(b[0]))
-		}
-		return
-	}
-	b := uint8(0)
-	if *v {
-		b = 1
-	}
-	k.buf = append(k.buf, b)
-}
-
-// truth decodes a flag, accepting only 0 and 1 so that each value has
-// one encoding.
-func (k *codec) truth(b uint64) bool {
-	if b > 1 {
-		k.fail("flag %d is neither 0 nor 1", b)
-	}
-	return b == 1
-}
-
-// flag walks a configuration flag as a word of 0 or 1.
-func (k *codec) flag(v *bool) {
-	w := uint64(0)
-	if *v {
-		w = 1
-	}
-	k.u64(&w)
-	if k.dec {
-		*v = k.truth(w)
-	}
-}
-
-// narrow walks an integer held in a type narrower than its word. Decoding
-// rejects a word the type cannot hold rather than truncate it.
-func narrow[T ~uint8 | ~int32](k *codec, v *T) {
-	w := int64(*v)
-	k.i64(&w)
-	if k.dec {
-		if int64(T(w)) != w {
-			k.fail("word %d out of range", w)
-		}
-		*v = T(w)
-	}
-}
-
-// count walks a slice length. Decoding bounds it by how many elements of
-// at least min encoded bytes the rest of the input can hold, so a forged
-// count fails before anything is allocated for it.
-func (k *codec) count(n, min int) int {
-	k.int(&n)
-	if k.dec && (n < 0 || n > k.left()/min) {
-		k.fail("implausible length %d with %d bytes left", n, k.left())
-		return 0
-	}
-	return n
-}
-
-// sized walks the length of *s. Decoding replaces *s with that many zero
-// elements, or nil for none, for the caller's loop to fill.
-func sized[T any](k *codec, s *[]T, min int) {
-	if n := k.count(len(*s), min); k.dec && n > 0 {
-		*s = make([]T, n)
-	}
-}
-
-// present walks whether *p is set. Decoding allocates *p when it is.
-func present[T any](k *codec, p **T) bool {
-	has := *p != nil
-	k.bool(&has)
-	if has && k.dec {
-		*p = new(T)
-	}
-	return has
-}
-
-func (k *codec) str(s *string) {
-	n := k.count(len(*s), 1)
-	if k.dec {
-		*s = string(k.take(n))
-	} else {
-		k.buf = append(k.buf, *s...)
-	}
-}
-
-func (k *codec) bytes(b *[]byte) {
-	n := k.count(len(*b), 1)
-	if k.dec {
-		*b = append([]byte(nil), k.take(n)...)
-	} else {
-		k.buf = append(k.buf, *b...)
-	}
-}
-
-func (k *codec) int64s(s *[]int64) {
-	sized(k, s, wordBytes)
-	for i := range *s {
-		k.i64(&(*s)[i])
-	}
-}
 
 // Minimum encoded sizes of slice elements, measured by walking a zero
 // element, bound the counts a decoder accepts.
 var (
-	robMin     = walkedLen(func(k *codec) { k.robHot(new(robHot)); k.robEntry(new(robEntry)) })
-	storeMin   = walkedLen(func(k *codec) { k.store(new(isa.AccelStore)) })
-	fetchedMin = walkedLen(func(k *codec) { k.fetched(new(fetchedInst)) })
-	compMin    = walkedLen(func(k *codec) { k.comp(new(compRecord)) })
-	eventMin   = walkedLen(func(k *codec) { k.accelEvent(new(AccelEvent)) })
-	pipeMin    = walkedLen(func(k *codec) { k.pipeEvent(new(PipeEvent)) })
-	pageMin    = walkedLen(func(k *codec) { k.page(new(isa.PageState)) })
-	lineMin    = walkedLen(func(k *codec) { k.line(new(mem.CacheLineState)) })
-	fillMin    = walkedLen(func(k *codec) { k.fill(new(mem.FillState)) })
-	tlbPageMin = walkedLen(func(k *codec) { k.tlbPage(new(mem.TLBPageState)) })
-	pairMin    = walkedLen(func(k *codec) { k.pair(new(bpred.PredictorPair)) })
+	robMin     = ckpt.WalkedLen(func(k *ckpt.Codec) { walkROBHot(k, new(robHot)); walkROBEntry(k, new(robEntry)) })
+	storeMin   = ckpt.WalkedLen(func(k *ckpt.Codec) { walkStore(k, new(isa.AccelStore)) })
+	fetchedMin = ckpt.WalkedLen(func(k *ckpt.Codec) { walkFetched(k, new(fetchedInst)) })
+	compMin    = ckpt.WalkedLen(func(k *ckpt.Codec) { walkComp(k, new(compRecord)) })
+	eventMin   = ckpt.WalkedLen(func(k *ckpt.Codec) { walkAccelEvent(k, new(AccelEvent)) })
+	pipeMin    = ckpt.WalkedLen(func(k *ckpt.Codec) { walkPipeEvent(k, new(PipeEvent)) })
 )
-
-func walkedLen(walk func(*codec)) int {
-	var k codec
-	walk(&k)
-	return len(k.buf)
-}
 
 // MarshalBinary serializes the checkpoint.
 func (ck *Checkpoint) MarshalBinary() []byte {
-	var k codec
-	k.checkpoint(ck)
-	return k.buf
+	k := ckpt.Encoder(nil)
+	walkCheckpoint(&k, ck)
+	return k.Encoded()
 }
 
 // UnmarshalCheckpoint deserializes a checkpoint produced by MarshalBinary.
+// The component frames stay opaque until a resume decodes them.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
-	k := codec{buf: data, dec: true}
 	ck := &Checkpoint{}
-	k.checkpoint(ck)
-	if k.left() != 0 {
-		k.fail("%d trailing bytes", k.left())
-	}
-	if k.err != nil {
-		return nil, k.err
+	if err := ckpt.Decode(data, func(k *ckpt.Codec) { walkCheckpoint(k, ck) }); err != nil {
+		return nil, fmt.Errorf("sim: checkpoint decode: %w", err)
 	}
 	return ck, nil
 }
 
-func (k *codec) checkpoint(ck *Checkpoint) {
+func walkCheckpoint(k *ckpt.Codec, ck *Checkpoint) {
 	magic, version := uint64(ckptMagic), uint64(ckptVersion)
-	k.u64(&magic)
-	k.u64(&version)
+	k.U64(&magic)
+	k.U64(&version)
 	switch {
 	case magic != ckptMagic:
-		k.fail("bad magic %#x", magic)
+		k.Failf("bad magic %#x", magic)
 	case version != ckptVersion:
-		k.fail("version %d, want %d", version, ckptVersion)
+		k.Failf("version %d, want %d", version, ckptVersion)
 	}
-	k.config(&ck.Config)
-	k.u64(&ck.ProgHash)
-	k.i64(&ck.Now)
-	k.u64(&ck.Seq)
-	k.bool(&ck.Halted)
-	k.i64(&ck.LastCommitCycle)
-	k.bool(&ck.SawAccelFetch)
-	k.bool(&ck.SuffixFree)
+	walkConfig(k, &ck.Config)
+	k.U64(&ck.ProgHash)
+	k.I64(&ck.Now)
+	k.U64(&ck.Seq)
+	k.Bool(&ck.Halted)
+	k.I64(&ck.LastCommitCycle)
+	k.Bool(&ck.SawAccelFetch)
+	k.Bool(&ck.SuffixFree)
 	for i := range ck.ARF {
-		k.u64(&ck.ARF[i])
+		k.U64(&ck.ARF[i])
 	}
 	for i := range ck.Rename {
-		k.bool(&ck.Rename[i].Valid)
-		k.u64(&ck.Rename[i].Seq)
+		k.Bool(&ck.Rename[i].Valid)
+		k.U64(&ck.Rename[i].Seq)
 	}
 	// The ROB is one count, then every hot entry, then every cold one.
-	if n := k.count(len(ck.ROBHot), robMin); k.dec && n > 0 {
+	if n := k.Count(len(ck.ROBHot), robMin); k.Decoding() && n > 0 {
 		ck.ROBHot = make([]robHot, n)
 		ck.ROBCold = make([]robEntry, n)
 	}
 	for i := range ck.ROBHot {
-		k.robHot(&ck.ROBHot[i])
+		walkROBHot(k, &ck.ROBHot[i])
 	}
 	for i := range ck.ROBCold {
-		k.robEntry(&ck.ROBCold[i])
+		walkROBEntry(k, &ck.ROBCold[i])
 	}
-	sized(k, &ck.Arena, storeMin)
+	ckpt.Sized(k, &ck.Arena, storeMin)
 	for i := range ck.Arena {
-		k.store(&ck.Arena[i])
+		walkStore(k, &ck.Arena[i])
 	}
-	k.int(&ck.LiveStores)
-	k.int(&ck.IQCount)
-	k.int(&ck.LSQCount)
-	k.int(&ck.IssuedCount)
-	sized(k, &ck.FetchQ, fetchedMin)
+	k.Int(&ck.LiveStores)
+	k.Int(&ck.IQCount)
+	k.Int(&ck.LSQCount)
+	k.Int(&ck.IssuedCount)
+	ckpt.Sized(k, &ck.FetchQ, fetchedMin)
 	for i := range ck.FetchQ {
-		k.fetched(&ck.FetchQ[i])
+		walkFetched(k, &ck.FetchQ[i])
 	}
-	k.int(&ck.FetchPC)
-	k.i64(&ck.FetchResumeAt)
-	k.bool(&ck.FetchStopped)
-	k.i64(&ck.CurFetchLine)
-	k.u64(&ck.BarrierSeq)
-	k.bool(&ck.BarrierActive)
+	k.Int(&ck.FetchPC)
+	k.I64(&ck.FetchResumeAt)
+	k.Bool(&ck.FetchStopped)
+	k.I64(&ck.CurFetchLine)
+	k.U64(&ck.BarrierSeq)
+	k.Bool(&ck.BarrierActive)
 	for cl := range ck.FreeUnits {
-		k.int64s(&ck.FreeUnits[cl])
+		walkInt64s(k, &ck.FreeUnits[cl])
 	}
-	k.int64s(&ck.Ports)
-	k.i64(&ck.TCABusyUntil)
-	sized(k, &ck.Pend, compMin)
+	walkInt64s(k, &ck.Ports)
+	k.I64(&ck.TCABusyUntil)
+	ckpt.Sized(k, &ck.Pend, compMin)
 	for i := range ck.Pend {
-		k.comp(&ck.Pend[i])
+		walkComp(k, &ck.Pend[i])
 	}
-	k.stats(&ck.Stats)
-	k.memState(&ck.Mem)
-	k.hierState(&ck.Hier)
-	k.predState(&ck.Pred)
+	walkStats(k, &ck.Stats)
+	k.Bytes(&ck.Mem)
+	k.Bytes(&ck.Hier)
+	k.Bytes(&ck.Pred)
 	has := ck.DeviceState != nil
-	k.bool(&has)
+	k.Bool(&has)
 	if has {
-		k.bytes(&ck.DeviceState)
+		k.Bytes(&ck.DeviceState)
 		if ck.DeviceState == nil {
 			ck.DeviceState = []byte{} // an empty frame is still a frame
 		}
 	}
-	k.bool(&ck.DevicePristine)
+	k.Bool(&ck.DevicePristine)
 }
 
-// config walks the fields Config.Canonical keeps, every one a word; Name,
-// NoFastForward and the cache Names are not part of it. Checkpoint holds
-// a canonical config, so its config section is Config.AppendCanonical.
-func (k *codec) config(c *Config) {
-	k.int(&c.FetchWidth)
-	k.int(&c.DispatchWidth)
-	k.int(&c.IssueWidth)
-	k.int(&c.CommitWidth)
-	k.int(&c.ROBSize)
-	k.int(&c.IQSize)
-	k.int(&c.LSQSize)
-	k.int(&c.FrontEndDepth)
-	k.int(&c.CommitDelay)
-	k.int(&c.IntALUs)
-	k.int(&c.IntMuls)
-	k.int(&c.FPUs)
-	k.int(&c.MemPorts)
-	k.int(&c.IntMulLatency)
-	k.int(&c.IntDivLatency)
-	k.int(&c.FPAddLatency)
-	k.int(&c.FPMulLatency)
-	k.int(&c.FMALatency)
-	k.int(&c.FPDivLatency)
-	narrow(k, &c.Mode)
-	k.flag(&c.PartialSpeculation)
-	k.flag(&c.ConservativeLoadOrdering)
-	k.str(&c.Predictor.Kind)
-	k.int(&c.Predictor.TableBits)
-	k.int(&c.Predictor.HistBits)
-	k.cacheConfig(&c.Memory.L1I)
-	k.cacheConfig(&c.Memory.L1D)
-	k.cacheConfig(&c.Memory.L2)
-	k.int(&c.Memory.DRAM.Latency)
-	k.int(&c.Memory.DRAM.CyclesPerLine)
-	k.tlbConfig(&c.Memory.DTLB)
-	k.tlbConfig(&c.Memory.ITLB)
-	k.flag(&c.RecordAccelEvents)
-	k.int(&c.PipeTraceLimit)
+// walkConfig walks the fields Config.Canonical keeps, every one a word;
+// Name, NoFastForward and the cache Names are not part of it. Checkpoint
+// holds a canonical config, so its config section is
+// Config.AppendCanonical.
+func walkConfig(k *ckpt.Codec, c *Config) {
+	k.Int(&c.FetchWidth)
+	k.Int(&c.DispatchWidth)
+	k.Int(&c.IssueWidth)
+	k.Int(&c.CommitWidth)
+	k.Int(&c.ROBSize)
+	k.Int(&c.IQSize)
+	k.Int(&c.LSQSize)
+	k.Int(&c.FrontEndDepth)
+	k.Int(&c.CommitDelay)
+	k.Int(&c.IntALUs)
+	k.Int(&c.IntMuls)
+	k.Int(&c.FPUs)
+	k.Int(&c.MemPorts)
+	k.Int(&c.IntMulLatency)
+	k.Int(&c.IntDivLatency)
+	k.Int(&c.FPAddLatency)
+	k.Int(&c.FPMulLatency)
+	k.Int(&c.FMALatency)
+	k.Int(&c.FPDivLatency)
+	ckpt.Narrow(k, &c.Mode)
+	k.Flag(&c.PartialSpeculation)
+	k.Flag(&c.ConservativeLoadOrdering)
+	k.Str(&c.Predictor.Kind)
+	k.Int(&c.Predictor.TableBits)
+	k.Int(&c.Predictor.HistBits)
+	walkCacheConfig(k, &c.Memory.L1I)
+	walkCacheConfig(k, &c.Memory.L1D)
+	walkCacheConfig(k, &c.Memory.L2)
+	k.Int(&c.Memory.DRAM.Latency)
+	k.Int(&c.Memory.DRAM.CyclesPerLine)
+	walkTLBConfig(k, &c.Memory.DTLB)
+	walkTLBConfig(k, &c.Memory.ITLB)
+	k.Flag(&c.RecordAccelEvents)
+	k.Int(&c.PipeTraceLimit)
 }
 
-func (k *codec) cacheConfig(c *mem.CacheConfig) {
-	k.int(&c.SizeBytes)
-	k.int(&c.Ways)
-	k.int(&c.LineBytes)
-	k.int(&c.HitLatency)
-	k.int(&c.MSHRs)
-	k.flag(&c.NextLinePrefetch)
+func walkCacheConfig(k *ckpt.Codec, c *mem.CacheConfig) {
+	k.Int(&c.SizeBytes)
+	k.Int(&c.Ways)
+	k.Int(&c.LineBytes)
+	k.Int(&c.HitLatency)
+	k.Int(&c.MSHRs)
+	k.Flag(&c.NextLinePrefetch)
 }
 
-func (k *codec) tlbConfig(c *mem.TLBConfig) {
-	k.int(&c.Entries)
-	k.int(&c.PageBits)
-	k.int(&c.WalkLatency)
+func walkTLBConfig(k *ckpt.Codec, c *mem.TLBConfig) {
+	k.Int(&c.Entries)
+	k.Int(&c.PageBits)
+	k.Int(&c.WalkLatency)
 }
 
-func (k *codec) stats(s *Stats) {
-	k.i64(&s.Cycles)
-	k.u64(&s.Committed)
-	k.u64(&s.Fetched)
-	k.u64(&s.Squashed)
-	k.u64(&s.Branches)
-	k.u64(&s.Mispredicts)
-	k.u64(&s.Loads)
-	k.u64(&s.Stores)
-	k.u64(&s.LoadsForwarded)
-	k.u64(&s.AccelCommitted)
-	k.u64(&s.AccelSquashed)
-	k.i64(&s.AccelBusyCycles)
-	k.u64(&s.AccelMemOps)
-	k.i64(&s.AccelDrainWait)
-	k.i64(&s.AccelConfidenceWait)
-	k.u64(&s.AccelPhases)
-	k.i64(&s.AccelOverlapCycles)
-	k.i64(&s.DispatchStalls.Barrier)
-	k.i64(&s.DispatchStalls.ROBFull)
-	k.i64(&s.DispatchStalls.IQFull)
-	k.i64(&s.DispatchStalls.LSQFull)
-	k.i64(&s.DispatchStalls.FrontEnd)
-	k.i64(&s.ROBOccupancySum)
-	k.i64(&s.FastForwardedCycles)
-	k.i64(&s.FastForwardJumps)
-	sized(k, &s.AccelEvents, eventMin)
+func walkStats(k *ckpt.Codec, s *Stats) {
+	k.I64(&s.Cycles)
+	k.U64(&s.Committed)
+	k.U64(&s.Fetched)
+	k.U64(&s.Squashed)
+	k.U64(&s.Branches)
+	k.U64(&s.Mispredicts)
+	k.U64(&s.Loads)
+	k.U64(&s.Stores)
+	k.U64(&s.LoadsForwarded)
+	k.U64(&s.AccelCommitted)
+	k.U64(&s.AccelSquashed)
+	k.I64(&s.AccelBusyCycles)
+	k.U64(&s.AccelMemOps)
+	k.I64(&s.AccelDrainWait)
+	k.I64(&s.AccelConfidenceWait)
+	k.U64(&s.AccelPhases)
+	k.I64(&s.AccelOverlapCycles)
+	k.I64(&s.DispatchStalls.Barrier)
+	k.I64(&s.DispatchStalls.ROBFull)
+	k.I64(&s.DispatchStalls.IQFull)
+	k.I64(&s.DispatchStalls.LSQFull)
+	k.I64(&s.DispatchStalls.FrontEnd)
+	k.I64(&s.ROBOccupancySum)
+	k.I64(&s.FastForwardedCycles)
+	k.I64(&s.FastForwardJumps)
+	ckpt.Sized(k, &s.AccelEvents, eventMin)
 	for i := range s.AccelEvents {
-		k.accelEvent(&s.AccelEvents[i])
+		walkAccelEvent(k, &s.AccelEvents[i])
 	}
-	sized(k, &s.PipeTrace, pipeMin)
+	ckpt.Sized(k, &s.PipeTrace, pipeMin)
 	for i := range s.PipeTrace {
-		k.pipeEvent(&s.PipeTrace[i])
+		walkPipeEvent(k, &s.PipeTrace[i])
 	}
 }
 
-func (k *codec) accelEvent(ev *AccelEvent) {
-	k.u64(&ev.Seq)
-	k.i64(&ev.Dispatch)
-	k.i64(&ev.Start)
-	k.i64(&ev.Done)
-	k.i64(&ev.Commit)
+func walkAccelEvent(k *ckpt.Codec, ev *AccelEvent) {
+	k.U64(&ev.Seq)
+	k.I64(&ev.Dispatch)
+	k.I64(&ev.Start)
+	k.I64(&ev.Done)
+	k.I64(&ev.Commit)
 }
 
-func (k *codec) pipeEvent(ev *PipeEvent) {
-	k.u64(&ev.Seq)
-	k.int(&ev.PC)
-	k.str(&ev.Text)
-	k.i64(&ev.Dispatch)
-	k.i64(&ev.Issue)
-	k.i64(&ev.Complete)
-	k.i64(&ev.Commit)
-	k.bool(&ev.Accel)
+func walkPipeEvent(k *ckpt.Codec, ev *PipeEvent) {
+	k.U64(&ev.Seq)
+	k.Int(&ev.PC)
+	k.Str(&ev.Text)
+	k.I64(&ev.Dispatch)
+	k.I64(&ev.Issue)
+	k.I64(&ev.Complete)
+	k.I64(&ev.Commit)
+	k.Bool(&ev.Accel)
 }
 
-func (k *codec) instruction(in *isa.Instruction) {
-	k.u8((*uint8)(&in.Op))
-	k.u8((*uint8)(&in.Dst))
-	k.u8((*uint8)(&in.Src1))
-	k.u8((*uint8)(&in.Src2))
-	k.u8((*uint8)(&in.Src3))
-	k.i64(&in.Imm)
+func walkInstruction(k *ckpt.Codec, in *isa.Instruction) {
+	k.U8((*uint8)(&in.Op))
+	k.U8((*uint8)(&in.Dst))
+	k.U8((*uint8)(&in.Src1))
+	k.U8((*uint8)(&in.Src2))
+	k.U8((*uint8)(&in.Src3))
+	k.I64(&in.Imm)
 }
 
-func (k *codec) robHot(h *robHot) {
-	k.u64(&h.seq)
-	k.i64(&h.readyCycle)
-	k.u8((*uint8)(&h.op))
-	k.u8((*uint8)(&h.state))
-	k.u8(&h.pendMask)
-	narrow(k, &h.wakeUses)
+func walkROBHot(k *ckpt.Codec, h *robHot) {
+	k.U64(&h.seq)
+	k.I64(&h.readyCycle)
+	k.U8((*uint8)(&h.op))
+	k.U8((*uint8)(&h.state))
+	k.U8(&h.pendMask)
+	ckpt.Narrow(k, &h.wakeUses)
 }
 
-func (k *codec) robEntry(c *robEntry) {
-	k.int(&c.pc)
-	k.instruction(&c.in)
-	k.i64(&c.dispatchCycle)
-	k.i64(&c.issueCycle)
+func walkROBEntry(k *ckpt.Codec, c *robEntry) {
+	k.Int(&c.pc)
+	walkInstruction(k, &c.in)
+	k.I64(&c.dispatchCycle)
+	k.I64(&c.issueCycle)
 	for s := range c.srcs {
-		k.u64(&c.srcs[s].producer)
-		k.u64(&c.srcs[s].value)
+		k.U64(&c.srcs[s].producer)
+		k.U64(&c.srcs[s].value)
 	}
-	k.u64(&c.val)
-	k.bool(&c.predTaken)
-	k.bool(&c.predConfident)
-	k.bool(&c.actualTaken)
-	k.int(&c.nextPC)
-	k.bool(&c.mispredict)
-	k.bool(&c.addrKnown)
-	k.u64(&c.addr)
-	k.u64(&c.storeData)
-	k.bool(&c.forwarded)
-	k.bool(&c.accelStarted)
-	k.bool(&c.accelHasMark)
-	k.int(&c.accelMark)
-	k.int(&c.storeOff)
-	k.int(&c.storeCount)
-	k.int(&c.accelMemOps)
-	k.i64(&c.accelStart)
-	k.i64(&c.accelHeld)
+	k.U64(&c.val)
+	k.Bool(&c.predTaken)
+	k.Bool(&c.predConfident)
+	k.Bool(&c.actualTaken)
+	k.Int(&c.nextPC)
+	k.Bool(&c.mispredict)
+	k.Bool(&c.addrKnown)
+	k.U64(&c.addr)
+	k.U64(&c.storeData)
+	k.Bool(&c.forwarded)
+	k.Bool(&c.accelStarted)
+	k.Bool(&c.accelHasMark)
+	k.Int(&c.accelMark)
+	k.Int(&c.storeOff)
+	k.Int(&c.storeCount)
+	k.Int(&c.accelMemOps)
+	k.I64(&c.accelStart)
+	k.I64(&c.accelHeld)
 }
 
-func (k *codec) store(st *isa.AccelStore) {
-	k.u64(&st.Addr)
-	k.u64(&st.Data)
+func walkStore(k *ckpt.Codec, st *isa.AccelStore) {
+	k.U64(&st.Addr)
+	k.U64(&st.Data)
 }
 
-func (k *codec) fetched(f *fetchedInst) {
-	k.int(&f.pc)
-	k.instruction(&f.in)
-	k.bool(&f.predTaken)
-	k.bool(&f.predConfident)
-	k.i64(&f.availAt)
+func walkFetched(k *ckpt.Codec, f *fetchedInst) {
+	k.Int(&f.pc)
+	walkInstruction(k, &f.in)
+	k.Bool(&f.predTaken)
+	k.Bool(&f.predConfident)
+	k.I64(&f.availAt)
 }
 
-func (k *codec) comp(r *compRecord) {
-	k.i64(&r.cycle)
-	k.u64(&r.seq)
+func walkComp(k *ckpt.Codec, r *compRecord) {
+	k.I64(&r.cycle)
+	k.U64(&r.seq)
 }
 
-func (k *codec) memState(s *isa.MemoryState) {
-	k.u64(&s.Reads)
-	k.u64(&s.Writes)
-	sized(k, &s.Pages, pageMin)
-	for i := range s.Pages {
-		k.page(&s.Pages[i])
+func walkInt64s(k *ckpt.Codec, s *[]int64) {
+	ckpt.Sized(k, s, ckpt.WordBytes)
+	for i := range *s {
+		k.I64(&(*s)[i])
 	}
-}
-
-func (k *codec) page(p *isa.PageState) {
-	k.u64(&p.ID)
-	for i := range p.Data {
-		k.u64(&p.Data[i])
-	}
-}
-
-func (k *codec) cacheState(s *mem.CacheState) {
-	k.u64(&s.Stamp)
-	k.u64(&s.Stats.Accesses)
-	k.u64(&s.Stats.Hits)
-	k.u64(&s.Stats.Misses)
-	k.u64(&s.Stats.Writebacks)
-	k.u64(&s.Stats.MSHRMerges)
-	k.u64(&s.Stats.MSHRStalls)
-	k.u64(&s.Stats.Prefetches)
-	k.u64(&s.Stats.PrefetchHits)
-	sized(k, &s.Lines, lineMin)
-	for i := range s.Lines {
-		k.line(&s.Lines[i])
-	}
-	sized(k, &s.Fills, fillMin)
-	for i := range s.Fills {
-		k.fill(&s.Fills[i])
-	}
-}
-
-func (k *codec) line(ln *mem.CacheLineState) {
-	k.u64(&ln.Tag)
-	k.bool(&ln.Valid)
-	k.bool(&ln.Dirty)
-	k.bool(&ln.Prefetched)
-	k.u64(&ln.LRU)
-}
-
-func (k *codec) fill(f *mem.FillState) {
-	k.u64(&f.LineAddr)
-	k.i64(&f.Done)
-}
-
-func (k *codec) tlbState(s *mem.TLBState) {
-	k.u64(&s.Stamp)
-	k.i64(&s.WalkEnd)
-	k.u64(&s.Stats.Accesses)
-	k.u64(&s.Stats.Misses)
-	sized(k, &s.Pages, tlbPageMin)
-	for i := range s.Pages {
-		k.tlbPage(&s.Pages[i])
-	}
-}
-
-func (k *codec) tlbPage(p *mem.TLBPageState) {
-	k.u64(&p.Page)
-	k.u64(&p.Stamp)
-}
-
-func (k *codec) hierState(s *mem.HierarchyState) {
-	if present(k, &s.L1I) {
-		k.cacheState(s.L1I)
-	}
-	k.cacheState(&s.L1D)
-	k.cacheState(&s.L2)
-	k.i64(&s.DRAM.NextFree)
-	k.u64(&s.DRAM.Stats.Reads)
-	k.u64(&s.DRAM.Stats.Writes)
-	k.i64(&s.DRAM.Stats.BusyCycles)
-	if present(k, &s.DTLB) {
-		k.tlbState(s.DTLB)
-	}
-	if present(k, &s.ITLB) {
-		k.tlbState(s.ITLB)
-	}
-}
-
-func (k *codec) predState(s *bpred.State) {
-	k.str(&s.Kind)
-	k.u64(&s.History)
-	k.bytes(&s.Table)
-	sized(k, &s.Pairs, pairMin)
-	for i := range s.Pairs {
-		k.pair(&s.Pairs[i])
-	}
-}
-
-func (k *codec) pair(p *bpred.PredictorPair) {
-	k.u64(&p.PC)
-	k.bool(&p.Taken)
 }

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"repro/internal/accel"
+	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -23,11 +24,12 @@ import (
 // through its run, as a baseline and in each mode. A change to the codec
 // that moves a byte must bump ckptVersion and update these values.
 func TestCheckpointBytesGolden(t *testing.T) {
-	warm := heapWarmCheckpoint(t).MarshalBinary()
-	if got, want := len(warm), 533838; got != want {
+	ck, _ := heapWarmCheckpoint(t)
+	warm := ck.MarshalBinary()
+	if got, want := len(warm), 533862; got != want {
 		t.Errorf("warm heap checkpoint: %d bytes, want %d", got, want)
 	}
-	if got, want := sha256Hex(warm), "c2969f4581a6cdc90f082fd72f665c1fbf490f739442d8ede00182b92dd16407"; got != want {
+	if got, want := sha256Hex(warm), "4b2d58b80e14a6a1ceaa81258525a62f0d7d0454435eca2a2cfa61a77a8dc31c"; got != want {
 		t.Errorf("warm heap checkpoint: sha256 %s, want %s", got, want)
 	}
 
@@ -46,10 +48,10 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		total += len(b)
 		h.Write(b)
 	}
-	if got, want := total, 12921023; got != want {
+	if got, want := total, 12921863; got != want {
 		t.Errorf("mid-run checkpoints: %d bytes, want %d", got, want)
 	}
-	if got, want := hex.EncodeToString(h.Sum(nil)), "dc3803354cf708837475c8cea41dd636862cc14ade632a16760e5d26abb21d1a"; got != want {
+	if got, want := hex.EncodeToString(h.Sum(nil)), "54844760a5ebe6b2bcd570ac2bfcf4147d255db444738681bca1351fd1c5107b"; got != want {
 		t.Errorf("mid-run checkpoints: sha256 %s, want %s", got, want)
 	}
 }
@@ -157,28 +159,30 @@ func firstDiff(a, b []byte) int {
 	return i
 }
 
-// TestCheckpointDecodeBoundsCounts: a 264 KB blob whose memory page
+// TestCheckpointDecodeBoundsCounts: a 264 KB memory frame whose page
 // count claims every byte left fails without allocating for the claim.
 // Each page encodes to 4104 bytes, so a count bounded only by the bytes
-// left would allocate about 4000 times the blob's size.
+// left would allocate about 4000 times the frame's size.
 func TestCheckpointDecodeBoundsCounts(t *testing.T) {
-	var zero Checkpoint
-	blob := zero.MarshalBinary()
-	one := Checkpoint{Mem: isa.MemoryState{Pages: make([]isa.PageState, 1)}}
-	at := firstDiff(blob, one.MarshalBinary())
+	empty, err := ckpt.Encode(isa.NewMemory().WalkState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(empty) - ckpt.WordBytes // the page count ends an empty image's frame
 	const size = 264 << 10
-	forged := binary.LittleEndian.AppendUint64(blob[:at:at], size-uint64(at)-8)
+	forged := binary.LittleEndian.AppendUint64(empty[:at:at], size-uint64(at)-8)
 	forged = append(forged, make([]byte, size-len(forged))...)
 
+	m := isa.NewMemory()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := UnmarshalCheckpoint(forged)
+	err = ckpt.Decode(forged, m.WalkState)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("forged page count decoded without error")
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*size {
-		t.Errorf("decoding a %d-byte blob allocated %d bytes", size, grew)
+		t.Errorf("decoding a %d-byte frame allocated %d bytes", size, grew)
 	}
 }
 
@@ -202,9 +206,45 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	})
 }
 
-// tinyCheckpoint is a heap workload paused mid-run on a core with small
-// caches, so its blob stays a few tens of KB.
-func tinyCheckpoint(tb testing.TB) *Checkpoint {
+// FuzzResumeCheckpoint: decoding a blob and resuming from it never
+// panics, whatever its component frames hold, and a blob that resumes
+// under its own config re-encodes to itself from the resumed core.
+// FuzzUnmarshalCheckpoint cannot reach the frames' decoders, which run
+// only on resume.
+func FuzzResumeCheckpoint(f *testing.F) {
+	cfg, w := tinyCase(f)
+	ck := tinyCheckpoint(f)
+	real := ck.MarshalBinary()
+	f.Add(real)
+	// The heap frame's first free-list count, after the device's miss
+	// counter and the allocator's arena and counters, claims 2^62 entries.
+	forged := append([]byte(nil), real...)
+	at := len(forged) - 1 - len(ck.DeviceState) + 7*ckpt.WordBytes
+	binary.LittleEndian.PutUint64(forged[at:], 1<<62)
+	f.Add(forged)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		core, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), ck)
+		if err != nil || ck.Config != cfg.Canonical() {
+			return
+		}
+		again, err := core.Checkpoint()
+		if err != nil {
+			t.Fatalf("resumed core cannot checkpoint: %v", err)
+		}
+		if !bytes.Equal(again.MarshalBinary(), data) {
+			t.Fatalf("%d-byte blob resumes but the resumed core does not re-encode to it", len(data))
+		}
+	})
+}
+
+// tinyCase is a heap workload on a core with small caches, the L1I
+// enabled and next-line prefetch on, so its checkpoints stay a few tens
+// of KB and every hierarchy counter moves.
+func tinyCase(tb testing.TB) (Config, *workload.Workload) {
 	tb.Helper()
 	w, err := workload.Heap(workload.HeapConfig{Operations: 40, FillerPerCall: 10, Prefill: 16, Seed: 2})
 	if err != nil {
@@ -216,6 +256,13 @@ func tinyCheckpoint(tb testing.TB) *Checkpoint {
 	cfg.Memory.L1I.SizeBytes = 512
 	cfg.Memory.L1D.SizeBytes = 1 << 10
 	cfg.Memory.L2.SizeBytes = 4 << 10
+	return cfg, w
+}
+
+// tinyCheckpoint is tinyCase paused mid-run.
+func tinyCheckpoint(tb testing.TB) *Checkpoint {
+	tb.Helper()
+	cfg, w := tinyCase(tb)
 	core, err := New(cfg, w.Accelerated, w.NewDevice())
 	if err != nil {
 		tb.Fatal(err)

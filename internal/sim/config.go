@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/bpred"
+	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -196,9 +197,9 @@ func (c Config) Canonical() Config {
 // digest and the checkpoint version.
 func (c Config) AppendCanonical(b []byte) []byte {
 	c = c.Canonical()
-	k := codec{buf: b}
-	k.config(&c)
-	return k.buf
+	k := ckpt.Encoder(b)
+	walkConfig(&k, &c)
+	return k.Encoded()
 }
 
 // WarmupCanonical strips, on top of Canonical, the fields that cannot affect

@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/workload"
 )
@@ -72,21 +72,10 @@ func (s *engineShim) Rewind(mark int) {
 	}
 }
 
-func (s *engineShim) SnapshotState() []byte {
+func (s *engineShim) WalkState(k *ckpt.Codec) {
 	if sn, ok := s.dev.(isa.AccelSnapshotter); ok {
-		return sn.SnapshotState()
+		sn.WalkState(k)
 	}
-	return nil
-}
-
-func (s *engineShim) RestoreState(data []byte) error {
-	if sn, ok := s.dev.(isa.AccelSnapshotter); ok {
-		return sn.RestoreState(data)
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("engineShim: unexpected state for stateless device")
-	}
-	return nil
 }
 
 // stdWorkload is one of the seven standard workloads the differential
@@ -265,17 +254,7 @@ func (d *streamPhases) UsesProgramMemory() bool { return true }
 
 // The checkpoint-transparency test snapshots mid-run, so the device's one
 // counter travels through a state frame like the real devices' counters do.
-func (d *streamPhases) SnapshotState() []byte {
-	return binary.LittleEndian.AppendUint64(nil, d.invocations)
-}
-
-func (d *streamPhases) RestoreState(data []byte) error {
-	if len(data) != 8 {
-		return fmt.Errorf("stream-phases: %d-byte state frame, want 8", len(data))
-	}
-	d.invocations = binary.LittleEndian.Uint64(data)
-	return nil
-}
+func (d *streamPhases) WalkState(k *ckpt.Codec) { k.U64(&d.invocations) }
 
 func (d *streamPhases) Invoke(call isa.AccelCall, mem isa.WordReader) isa.AccelResult {
 	d.invocations++
