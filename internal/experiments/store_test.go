@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -125,6 +128,72 @@ func TestDiskStoreMatchesAcrossProcesses(t *testing.T) {
 	}
 	if m.MeasureDiskHits == 0 {
 		t.Errorf("warm store metrics %+v, want measure-level disk hits", m)
+	}
+}
+
+// TestMeasureBlobWithoutModesIsMiss: a measure blob whose record lacks
+// the four mode results is a miss, not a record a figure would later
+// panic on. The measure recomputes from the run blobs, and the result
+// equals a direct measurement.
+func TestMeasureBlobWithoutModesIsMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated measurement")
+	}
+	w := storeTestWorkload(t)
+	cfg := sim.HighPerfConfig()
+	direct, err := MeasureWorkload(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cold, err := scenario.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureWorkloadStore(cold, cfg, w, 0); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*", "measure-*.json"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one measure blob, found %v (err %v)", paths, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(env["measure"], &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["Modes"] = json.RawMessage("[]")
+	if env["measure"], err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := scenario.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MeasureWorkloadStore(warm, cfg, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.MeasureRecord, direct.MeasureRecord) {
+		t.Errorf("record after a mode-less blob differs from direct:\ndirect: %+v\ngot:    %+v",
+			direct.MeasureRecord, got.MeasureRecord)
+	}
+	if m := warm.Metrics(); m.MeasureDiskHits != 0 || m.MeasureMisses != 1 {
+		t.Errorf("measure counters %+v, want the mode-less blob to be a miss", m)
 	}
 }
 

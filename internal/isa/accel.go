@@ -138,8 +138,8 @@ type AccelJournal interface {
 // AccelSnapshotter is implemented by devices whose state must survive a
 // simulator checkpoint/resume cycle. WalkState walks the device's mutable
 // state (counters, tables, journals) through the checkpoint codec: it
-// encodes the state into the checkpoint's device frame, or decodes the
-// frame into a freshly built device of the same configuration. A device
+// encodes the state at the end of the checkpoint's state frame, or
+// decodes it into a freshly built device of the same configuration. A device
 // without mutable state need not implement the interface — the checkpoint
 // layer then requires the device to be pristine (never invoked) at
 // snapshot time.

@@ -82,7 +82,7 @@ func TestRuleFixtures(t *testing.T) {
 		{name: "R8R9-checkpoint-out-of-scope", file: "r8ckpt.go", as: "internal/experiments/fixtureckpt", ignores: true},
 		{name: "R8-walk-in-scope", file: "r8walk.go", as: "internal/mem/fixturewalk"},
 		{name: "R8-walk-out-of-scope", file: "r8walk.go", as: "internal/experiments/fixturewalk", ignores: true},
-		{name: "R9-in-scope", file: "r9.go", as: "internal/sim/fixture9"},
+		{name: "R9-in-scope", file: "r9.go", as: "internal/sim/fixture9", rules: "R9"},
 		{name: "R9-out-of-scope", file: "r9.go", as: "internal/textplot/fixture9", ignores: true},
 		{name: "R9-devsnap-in-scope", file: "rdevsnap.go", as: "internal/accel/fixturedev"},
 		{name: "R9-devsnap-out-of-scope", file: "rdevsnap.go", as: "internal/workload/fixturedev", ignores: true},

@@ -15,16 +15,16 @@ import (
 // from a root that never reaches a consumer makes two different values
 // encode alike: for the spec types the cache then serves one run's Stats
 // for the other, the silent-aliasing failure DESIGN.md's scenario section
-// rules out; for Checkpoint and the components whose frames it carries,
-// state added to the core but never walked silently zeroes on every
-// resume-from-disk. sim.Config is walked once, by the checkpoint codec
-// (Config.AppendCanonical is that walk), so it is audited there; the
-// scenario digest encoder consumes it whole.
+// rules out; for Checkpoint, Stats and the components whose walks the
+// core's state walk calls, a counter added but never walked silently
+// zeroes on every resume-from-disk. sim.Config is walked once, by the
+// checkpoint codec (Config.AppendCanonical is that walk), so it is
+// audited there; the scenario digest encoder consumes it whole.
 var digestAudits = []struct {
 	pkg, recv string
 	roots     []string
 }{
-	{"internal/sim", "", []string{"Config", "Checkpoint"}},
+	{"internal/sim", "", []string{"Config", "Checkpoint", "Stats"}},
 	{"internal/isa", "", []string{"Memory"}},
 	{"internal/mem", "", []string{"CacheStats", "TLBStats", "DRAMStats"}},
 	{"internal/tcmalloc", "", []string{"Allocator"}},
@@ -42,7 +42,7 @@ var digestAudits = []struct {
 var ruleDigestCov = &Rule{
 	ID:   "R8",
 	Name: "digest-field-coverage",
-	Doc:  "every field reachable from sim.Config / sim.Checkpoint, isa.Memory, mem's cache/TLB/DRAM stats and tcmalloc.Allocator (checkpoint walks) and scenario.Spec / scenario.MeasureSpec (digest encoder) must reach its walk or encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
+	Doc:  "every field reachable from sim.Config / sim.Checkpoint / sim.Stats, isa.Memory, mem's cache/TLB/DRAM stats and tcmalloc.Allocator (checkpoint walks) and scenario.Spec / scenario.MeasureSpec (digest encoder) must reach its walk or encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
 	Applies: func(rel string) bool {
 		return underAny(rel, "internal/scenario", "internal/sim", "internal/isa", "internal/mem", "internal/tcmalloc")
 	},

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -21,15 +22,17 @@ var nowWriterMethods = map[string]bool{
 }
 
 // ruleNowWrite (R6) flags writes to the `now` field of a sim Core outside
-// the three sanctioned clock writers. Reads are unrestricted — every stage
-// consults the clock — but time must only move through the tick loop or
-// the event-horizon jump so fast-forwarded and cycle-by-cycle runs stay
+// the three sanctioned clock writers, and taking its address there: a
+// pointer to the clock (a setter's argument, or a checkpoint walk's field)
+// lets the callee move it. Reads are unrestricted — every stage consults
+// the clock — but time must only move through the tick loop or the
+// event-horizon jump so fast-forwarded and cycle-by-cycle runs stay
 // bit-identical (checkpoint restore excepted: it moves the clock exactly
 // once while the pipeline is empty).
 var ruleNowWrite = &Rule{
 	ID:   "R6",
 	Name: "core-now-write",
-	Doc:  "Core.now advances only in (*Core).runLoop, (*Core).fastForward and (*Core).restoreFrom; other writers break the event-horizon invariant",
+	Doc:  "Core.now advances only in (*Core).runLoop, (*Core).fastForward and (*Core).restoreFrom, and its address is taken nowhere else; other writers break the event-horizon invariant",
 	Applies: func(rel string) bool {
 		return underAny(rel, "internal/sim")
 	},
@@ -54,6 +57,10 @@ var ruleNowWrite = &Rule{
 						}
 					case *ast.IncDecStmt:
 						checkNowWrite(pass, st.X)
+					case *ast.UnaryExpr:
+						if st.Op == token.AND {
+							checkNowWrite(pass, st.X)
+						}
 					}
 					return true
 				})
@@ -62,15 +69,16 @@ var ruleNowWrite = &Rule{
 	},
 }
 
-// checkNowWrite reports lhs if it writes the now field of a sim Core.
-func checkNowWrite(pass *Pass, lhs ast.Expr) {
-	sel, ok := lhs.(*ast.SelectorExpr)
+// checkNowWrite reports x if it is the now field of a sim Core: the
+// target of a write, or an operand of &.
+func checkNowWrite(pass *Pass, x ast.Expr) {
+	sel, ok := x.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "now" {
 		return
 	}
 	if tv, ok := pass.Pkg.Info.Types[sel.X]; ok && isSimCore(tv.Type) {
-		pass.Reportf(lhs.Pos(),
-			"writes Core.now outside (*Core).runLoop / (*Core).fastForward / (*Core).restoreFrom; the clock may only move through the tick loop, the event-horizon jump, or checkpoint restore (DESIGN.md)")
+		pass.Reportf(x.Pos(),
+			"writes or takes the address of Core.now outside (*Core).runLoop / (*Core).fastForward / (*Core).restoreFrom; the clock may only move through the tick loop, the event-horizon jump, or checkpoint restore (DESIGN.md)")
 	}
 }
 

@@ -55,6 +55,14 @@ func helper(c *Core) {
 	c.now++ // want:R6
 }
 
+// setClock moves whatever clock it is handed.
+func setClock(p *int64) { *p = 0 }
+
+// escape hands the clock's address to a function that writes it.
+func escape(c *Core) {
+	setClock(&c.now) // want:R6
+}
+
 // notTheCore has a now field too, but is not a Core: no reports.
 type notTheCore struct{ now int64 }
 

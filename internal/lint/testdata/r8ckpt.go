@@ -1,10 +1,14 @@
 // Fixture for R8's checkpoint-codec audit and R9's Checkpoint clone
-// audit. Posed as a package under internal/sim, it defines local
-// stand-ins for Checkpoint, its nested RenameEntry, and the checkpoint
-// walk. TCABusyUntil is deliberately never walked — the
-// "microarchitectural field added to Core state but forgotten in the
-// codec" failure, which would silently zero on every resume — and
-// Clone aliases the Ports slice.
+// audit. Posed as a package under internal/sim, it defines a local
+// Checkpoint stand-in with a nested RenameEntry, and its walk. The
+// stand-in keeps the shape of a field-by-field state mirror, which the
+// real Checkpoint no longer is (it holds a header and one opaque state
+// frame that (*Core).walkState writes), because the audit reads any
+// walked struct the same way. TCABusyUntil is deliberately never
+// walked — a field added to checkpointed state but forgotten in the
+// walk, which would silently zero on every resume — and the stand-in's
+// Clone, which the real Checkpoint does not have, aliases the Ports
+// slice.
 package fixtureckpt
 
 import "repro/internal/ckpt"

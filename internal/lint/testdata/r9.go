@@ -4,7 +4,9 @@
 // copy, and one with no whole-struct copy. Negative cases: Notes is
 // deep-copied via append, Trace in cloneStats is deep-copied through a
 // keyed element-copy helper, Scratch and Trace carry emission
-// exemptions, and the unexported field is ignored throughout.
+// exemptions, and the unexported field is ignored throughout. The
+// in-scope case runs R9 alone: the local Stats has no checkpoint walk,
+// which R8 would report.
 package fixture9
 
 import "strconv"

@@ -271,11 +271,11 @@ func TestBadCheckpointBlobsAreMisses(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointFrameFallsBack: a checkpoint blob whose hierarchy
-// frame claims the wrong line count still decodes, because component
-// frames are only validated on resume, so the store loads it as a disk
-// hit. The fork's resume then fails and the store falls back to a direct
-// run, whose Stats must equal a direct run's.
+// TestCorruptCheckpointFrameFallsBack: a checkpoint blob whose state
+// frame is one byte short still decodes, because the state is only
+// validated on resume, so the store loads it as a disk hit. The fork's
+// resume then fails and the store falls back to a direct run, whose
+// Stats must equal a direct run's.
 func TestCorruptCheckpointFrameFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	spec := warmupHeavySpec(t, accel.LT, 2000)
@@ -295,10 +295,7 @@ func TestCorruptCheckpointFrameFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first cache's line count follows the L1I presence byte, the
-	// LRU stamp and the eight cache counters.
-	ck.Hier = append([]byte(nil), ck.Hier...)
-	ck.Hier[1+9*8]++
+	ck.State = ck.State[:len(ck.State)-1]
 	b.Ckpt = ck.MarshalBinary()
 	if data, err = json.Marshal(b); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/accel"
 	"repro/internal/sim"
 	"repro/internal/staticmodel"
 )
@@ -407,10 +408,18 @@ func (s *Store) saveRunBlob(d Digest, st sim.Stats) {
 	s.saveBlob("run", d, diskBlob{Run: &st})
 }
 
+// loadMeasureBlob rejects a record that does not hold one result per
+// mode in accel.AllModes order, as the measurement writes it, so a
+// reader's MeasureRecord.Mode never misses.
 func (s *Store) loadMeasureBlob(d Digest) (MeasureRecord, bool) {
 	b, ok := s.loadBlob("measure", d)
-	if !ok || b.Measure == nil {
+	if !ok || b.Measure == nil || len(b.Measure.Modes) != len(accel.AllModes) {
 		return MeasureRecord{}, false
+	}
+	for i, m := range b.Measure.Modes {
+		if m.Mode != accel.AllModes[i] {
+			return MeasureRecord{}, false
+		}
 	}
 	return *b.Measure, true
 }

@@ -114,8 +114,8 @@ func BenchmarkRunMatMulHP(b *testing.B) {
 // fetch after a 20k-instruction warmup, as the scenario store snapshots
 // a warmup family. The store writes this blob to disk once and every
 // fork off it decodes it. SetBytes counts the encoded blob, so the MB/s
-// column is codec throughput for the round trip. The component frames
-// are opaque to this codec; BenchmarkCheckpointFork times their decode.
+// column is codec throughput for the round trip. The state frame is
+// opaque to this codec; BenchmarkCheckpointFork times its decode.
 func BenchmarkCheckpointCodec(b *testing.B) {
 	ck, _ := heapWarmCheckpoint(b)
 	b.SetBytes(int64(len(ck.MarshalBinary())))
@@ -131,8 +131,9 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 // BenchmarkCheckpointFork times a warm replay's checkpoint traffic: one
 // decode of the heap warm checkpoint's blob, then eight resumes from it,
 // one per mode with and without partial speculation, each with a fresh
-// device. A resume builds a core and decodes the memory, hierarchy,
-// predictor and device frames into it.
+// device. A resume builds a core and decodes the state frame into it:
+// the core's own fields, then the memory, hierarchy, predictor and
+// device.
 func BenchmarkCheckpointFork(b *testing.B) {
 	ck, w := heapWarmCheckpoint(b)
 	blob := ck.MarshalBinary()

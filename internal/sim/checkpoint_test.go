@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/accel"
 	"repro/internal/ckpt"
@@ -360,8 +361,11 @@ func TestCheckpointValidation(t *testing.T) {
 
 // TestCheckpointComponentsRoundTrip: resuming from a mid-run checkpoint
 // rebuilds the memory image, the hierarchy and the predictor deeply
-// equal to the paused core's, for every standard workload and mode and
-// for a core with the L1I, next-line prefetch and both TLBs enabled.
+// equal to the paused core's, and a core whose state re-encodes to the
+// paused core's bytes, for every standard workload and mode and for a
+// core with the L1I, next-line prefetch and both TLBs enabled. The
+// byte comparison catches a walk that decodes differently from how it
+// encodes, such as a wrong rebase of the ROB or the fetch queue.
 func TestCheckpointComponentsRoundTrip(t *testing.T) {
 	cfg, w := tinyCase(t)
 	tiny := ckptCase{name: "tiny-l1i", cfg: cfg, prog: w.Accelerated, dev: w.NewDevice}
@@ -391,6 +395,13 @@ func TestCheckpointComponentsRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(fork.pred, core.pred) {
 			t.Errorf("%s: resumed predictor differs", c.name)
 		}
+		again, err := fork.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: resumed core cannot checkpoint: %v", c.name, err)
+		}
+		if !bytes.Equal(again.MarshalBinary(), ck.MarshalBinary()) {
+			t.Errorf("%s: resumed core's checkpoint differs from the paused core's", c.name)
+		}
 		if c.name != tiny.name {
 			continue
 		}
@@ -404,22 +415,161 @@ func TestCheckpointComponentsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptFrameIsResumeError: a blob whose hierarchy frame
-// claims the wrong line count decodes, because component frames stay
-// opaque until a resume, and the resume then fails with an error.
+// TestCheckpointCorruptFrameIsResumeError: a blob whose hierarchy claims
+// the wrong line count decodes, because State stays opaque until a
+// resume, and the resume then fails with an error.
 func TestCheckpointCorruptFrameIsResumeError(t *testing.T) {
 	cfg, w := tinyCase(t)
-	bad := *tinyCheckpoint(t)
+	core := tinyPaused(t)
+	bad, err := core.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := ckpt.Encode(core.hier.WalkState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(bad.State, hier)
+	if at < 0 {
+		t.Fatal("the hierarchy's encoding is not inside State")
+	}
 	// The first cache's line count follows the L1I presence byte, the
 	// LRU stamp and the eight cache counters.
-	at := 1 + 9*ckpt.WordBytes
-	bad.Hier = append([]byte(nil), bad.Hier...)
-	bad.Hier[at]++
+	bad.State[at+1+9*ckpt.WordBytes]++
 	ck, err := UnmarshalCheckpoint(bad.MarshalBinary())
 	if err != nil {
-		t.Fatalf("blob with a corrupt hierarchy frame did not decode: %v", err)
+		t.Fatalf("blob with a corrupt hierarchy did not decode: %v", err)
 	}
 	if _, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), ck); err == nil {
-		t.Error("resume accepted a hierarchy frame with the wrong line count")
+		t.Error("resume accepted a hierarchy with the wrong line count")
+	}
+}
+
+// coreFieldExemptions names the Core fields walkState leaves out, each
+// with the reason. TestCheckpointWalksEveryCoreField demands that every
+// other field survive an encode and decode.
+var coreFieldExemptions = map[string]string{
+	"cfg":               "construction input: a resume passes a compatible config to New",
+	"prog":              "construction input: the header's ProgHash matches it",
+	"dev":               "construction input: walkDevice walks its state",
+	"devMem":            "construction input: derived from dev by New",
+	"mem":               "component pointer: walkState calls its WalkState",
+	"hier":              "component pointer: walkState calls its WalkState",
+	"pred":              "component pointer: walkState calls bpred.WalkState",
+	"now":               "header: Checkpoint.Now, written by restoreFrom alone (R6)",
+	"accelDispatched":   "header: Checkpoint.SuffixFree",
+	"fetchHead":         "the fetch queue is walked from its head and decodes at head 0",
+	"pauseAt":           "pause plumbing: reset by every Run* entry point",
+	"pauseOnAccelFetch": "pause plumbing: reset by every Run* entry point",
+	"due":               "per-cycle scratch: complete() refills it",
+	"quiet":             "per-cycle scratch: reset at the top of every cycle",
+	"cycleStall":        "per-cycle scratch: reset at the top of every cycle",
+	"cycleHeldAccel":    "per-cycle scratch: reset at the top of every cycle",
+	"cycleConfWait":     "per-cycle scratch: reset at the top of every cycle",
+	"overlay":           "per-cycle scratch: buildOverlay refills it per invocation",
+}
+
+// TestCheckpointWalksEveryCoreField: walkState is the only list of the
+// core's checkpointed state, so a field it forgets would silently reset
+// on every resume. Each Core field off the exemption list gets a value
+// that differs from a fresh core's (a paused core's own value, or a
+// nudged one where the pause left the fresh value), and must come back
+// after walkState encodes the paused core and decodes into a fresh one.
+// The ROB is compared oldest-first and the fetch queue from its head.
+func TestCheckpointWalksEveryCoreField(t *testing.T) {
+	cfg, w := tinyCase(t)
+	core := tinyPaused(t)
+	fresh, err := New(cfg, w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(core).Elem()
+	for name := range coreFieldExemptions {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("exempted field %s is not a Core field", name)
+		}
+	}
+	paused := reflect.ValueOf(core).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := coreFieldExemptions[name]; ok {
+			continue
+		}
+		if sameCoreField(name, core, fresh) {
+			nudge(t, name, settable(paused.Field(i)))
+		}
+		if sameCoreField(name, core, fresh) {
+			t.Fatalf("cannot give field %s a value other than a fresh core's", name)
+		}
+	}
+	state, err := ckpt.Encode(core.walkState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := New(cfg, w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Decode(state, got.walkState); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := coreFieldExemptions[name]; !ok && !sameCoreField(name, got, core) {
+			t.Errorf("field %s does not survive walkState: walk it or exempt it with a reason", name)
+		}
+	}
+}
+
+// sameCoreField compares one Core field of a and b: the ROB by its
+// entries oldest-first, the fetch queue from its head, and any other
+// field deeply, with an empty slice equal to a nil one.
+func sameCoreField(name string, a, b *Core) bool {
+	view := func(c *Core) reflect.Value {
+		switch name {
+		case "rob":
+			n := c.rob.len()
+			hot, cold := make([]robHot, n), make([]robEntry, n)
+			for i := 0; i < n; i++ {
+				hot[i], cold[i] = *c.rob.hotAt(i), *c.rob.at(i)
+			}
+			return reflect.ValueOf([2]any{hot, cold})
+		case "fetchQ":
+			return reflect.ValueOf(c.fetchQ[c.fetchHead:])
+		}
+		return settable(reflect.ValueOf(c).Elem().FieldByName(name))
+	}
+	va, vb := view(a), view(b)
+	if va.Kind() == reflect.Slice && va.Len() == 0 && vb.Len() == 0 {
+		return true
+	}
+	return reflect.DeepEqual(va.Interface(), vb.Interface())
+}
+
+// settable makes an unexported field readable and writable.
+func settable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
+// nudge changes v away from its current value: a flag flips, a number
+// grows, a slice gains an element, and an array or struct has its first
+// element or field nudged.
+func nudge(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Array:
+		nudge(t, name, v.Index(0))
+	case reflect.Struct:
+		nudge(t, name, settable(v.Field(0)))
+	default:
+		t.Fatalf("cannot nudge field %s of kind %s", name, v.Kind())
 	}
 }

@@ -3,19 +3,20 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/bpred"
 	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
 // Binary checkpoint codec: one walk per persisted type over the
-// primitives of internal/ckpt, behind a magic and version header. The walk
-// covers every core-level field of the Checkpoint, exported identity
-// fields and unexported slab internals alike, so decode(encode(ck)) is
-// deeply equal to ck. The memory image, the hierarchy, the predictor and
-// the device are frames their own walks wrote; this codec carries them
-// as length-prefixed bytes and restoreFrom decodes them. simlint R8
-// audits the walk for exported-field exhaustiveness.
+// primitives of internal/ckpt. A checkpoint is a header (magic, version,
+// the canonical config, the program hash, the clock and SuffixFree) and
+// one state frame, which (*Core).walkState writes over the live core and
+// decodes straight into a fresh one. walkState walks the memory image,
+// the hierarchy, the predictor and the device through their own walks.
+// simlint R8 audits the walks for exported-field exhaustiveness, and
+// TestCheckpointWalksEveryCoreField holds walkState to every Core field.
 
 const (
 	ckptMagic = 0x74636b70_73696d31 // "tckp" "sim1"
@@ -28,7 +29,10 @@ const (
 	// digest's encoding, whose flags are words rather than bytes.
 	// v4: the memory, hierarchy and predictor sections are frames their
 	// components write, each behind a length word.
-	ckptVersion = 4
+	// v5: a header and one state frame that walkState writes; the
+	// component sections lost their length words, the unit and port
+	// reservations their counts.
+	ckptVersion = 5
 )
 
 // Minimum encoded sizes of slice elements, measured by walking a zero
@@ -50,7 +54,7 @@ func (ck *Checkpoint) MarshalBinary() []byte {
 }
 
 // UnmarshalCheckpoint deserializes a checkpoint produced by MarshalBinary.
-// The component frames stay opaque until a resume decodes them.
+// State stays opaque until a resume decodes it.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{}
 	if err := ckpt.Decode(data, func(k *ckpt.Codec) { walkCheckpoint(k, ck) }); err != nil {
@@ -72,69 +76,111 @@ func walkCheckpoint(k *ckpt.Codec, ck *Checkpoint) {
 	walkConfig(k, &ck.Config)
 	k.U64(&ck.ProgHash)
 	k.I64(&ck.Now)
-	k.U64(&ck.Seq)
-	k.Bool(&ck.Halted)
-	k.I64(&ck.LastCommitCycle)
-	k.Bool(&ck.SawAccelFetch)
 	k.Bool(&ck.SuffixFree)
-	for i := range ck.ARF {
-		k.U64(&ck.ARF[i])
+	k.Bytes(&ck.State)
+}
+
+// walkState walks the core's checkpointed state, the live fields
+// themselves. It leaves out the construction inputs, the component
+// pointers (it calls their walks instead), the header's clock and
+// accelDispatched, fetchHead, the pause plumbing and the per-cycle
+// scratch. Decoding expects a fresh core from New under a compatible
+// config: that config fixes the unit and port counts, so they are not
+// walked, and the ROB and the fetch queue decode at head 0.
+func (c *Core) walkState(k *ckpt.Codec) {
+	k.U64(&c.seq)
+	k.Bool(&c.halted)
+	k.I64(&c.lastCommitCycle)
+	k.Bool(&c.sawAccelFetch)
+	k.Words(c.arf[:])
+	for r := range c.rename {
+		k.Bool(&c.rename[r].valid)
+		k.U64(&c.rename[r].seq)
 	}
-	for i := range ck.Rename {
-		k.Bool(&ck.Rename[i].Valid)
-		k.U64(&ck.Rename[i].Seq)
+	walkROB(k, c.rob)
+	ckpt.Sized(k, &c.accelArena, storeMin)
+	for i := range c.accelArena {
+		walkStore(k, &c.accelArena[i])
 	}
-	// The ROB is one count, then every hot entry, then every cold one.
-	if n := k.Count(len(ck.ROBHot), robMin); k.Decoding() && n > 0 {
-		ck.ROBHot = make([]robHot, n)
-		ck.ROBCold = make([]robEntry, n)
+	k.Int(&c.liveStores)
+	k.Int(&c.iqCount)
+	k.Int(&c.lsqCount)
+	k.Int(&c.issuedCount)
+	// The fetch queue is walked from its head. It decodes into the
+	// backing array New sized, which keeps fetch allocation-free.
+	q := c.fetchQ[c.fetchHead:]
+	ckpt.Sized(k, &q, fetchedMin)
+	for i := range q {
+		walkFetched(k, &q[i])
 	}
-	for i := range ck.ROBHot {
-		walkROBHot(k, &ck.ROBHot[i])
+	if k.Decoding() {
+		c.fetchQ, c.fetchHead = q, 0
 	}
-	for i := range ck.ROBCold {
-		walkROBEntry(k, &ck.ROBCold[i])
+	k.Int(&c.fetchPC)
+	k.I64(&c.fetchResumeAt)
+	k.Bool(&c.fetchStopped)
+	k.I64(&c.curFetchLine)
+	k.U64(&c.barrierSeq)
+	k.Bool(&c.barrierActive)
+	for cl := range c.fu {
+		walkInt64s(k, c.fu[cl])
 	}
-	ckpt.Sized(k, &ck.Arena, storeMin)
-	for i := range ck.Arena {
-		walkStore(k, &ck.Arena[i])
+	walkInt64s(k, c.ports)
+	k.I64(&c.tcaBusyUntil)
+	// The completion heap's backing array goes verbatim: its layout is
+	// deterministic, so copying it preserves pop order.
+	ckpt.Sized(k, (*[]compRecord)(&c.pend), compMin)
+	for i := range c.pend {
+		walkComp(k, &c.pend[i])
 	}
-	k.Int(&ck.LiveStores)
-	k.Int(&ck.IQCount)
-	k.Int(&ck.LSQCount)
-	k.Int(&ck.IssuedCount)
-	ckpt.Sized(k, &ck.FetchQ, fetchedMin)
-	for i := range ck.FetchQ {
-		walkFetched(k, &ck.FetchQ[i])
-	}
-	k.Int(&ck.FetchPC)
-	k.I64(&ck.FetchResumeAt)
-	k.Bool(&ck.FetchStopped)
-	k.I64(&ck.CurFetchLine)
-	k.U64(&ck.BarrierSeq)
-	k.Bool(&ck.BarrierActive)
-	for cl := range ck.FreeUnits {
-		walkInt64s(k, &ck.FreeUnits[cl])
-	}
-	walkInt64s(k, &ck.Ports)
-	k.I64(&ck.TCABusyUntil)
-	ckpt.Sized(k, &ck.Pend, compMin)
-	for i := range ck.Pend {
-		walkComp(k, &ck.Pend[i])
-	}
-	walkStats(k, &ck.Stats)
-	k.Bytes(&ck.Mem)
-	k.Bytes(&ck.Hier)
-	k.Bytes(&ck.Pred)
-	has := ck.DeviceState != nil
-	k.Bool(&has)
-	if has {
-		k.Bytes(&ck.DeviceState)
-		if ck.DeviceState == nil {
-			ck.DeviceState = []byte{} // an empty frame is still a frame
+	walkStats(k, &c.stats)
+	c.mem.WalkState(k)
+	c.hier.WalkState(k)
+	bpred.WalkState(k, c.pred)
+	walkDevice(k, c)
+}
+
+// walkROB walks the in-flight window oldest-first: a count, then every
+// hot entry, then every cold one. Decoding bounds the count by the ROB's
+// capacity and rebases the window to head 0; restoreFrom then rebuilds
+// the issue indexes, which are derived state.
+func walkROB(k *ckpt.Codec, q *robQueue) {
+	n := k.Count(q.count, robMin)
+	if k.Decoding() {
+		if n > q.limit {
+			k.Failf("%d ROB entries, config allows %d", n, q.limit)
+			n = 0
 		}
+		q.head, q.count = 0, n
 	}
-	k.Bool(&ck.DevicePristine)
+	for i := 0; i < q.count; i++ {
+		walkROBHot(k, q.hotAt(i))
+	}
+	for i := 0; i < q.count; i++ {
+		walkROBEntry(k, q.at(i))
+	}
+}
+
+// walkDevice walks whether the device was ever invoked, whether its state
+// follows, and that state. A device that was never invoked needs none: a
+// resume may substitute any fresh device of the same configuration. An
+// invoked device that cannot walk its state fails the checkpoint, and
+// state that the resuming device cannot restore fails the resume.
+func walkDevice(k *ckpt.Codec, c *Core) {
+	k.Bool(&c.accelEverInvoked)
+	snap, _ := c.dev.(isa.AccelSnapshotter)
+	has := snap != nil
+	k.Bool(&has)
+	switch {
+	case has && snap != nil:
+		snap.WalkState(k)
+	case has:
+		k.Failf("checkpoint carries device state but the attached device cannot restore it")
+	case c.accelEverInvoked && !k.Decoding():
+		k.Failf("device %q has been invoked but does not implement isa.AccelSnapshotter", c.dev.Name())
+	case c.accelEverInvoked:
+		k.Failf("device was invoked but no device state was captured")
+	}
 }
 
 // walkConfig walks the fields Config.Canonical keeps, every one a word;
@@ -313,9 +359,8 @@ func walkComp(k *ckpt.Codec, r *compRecord) {
 	k.U64(&r.seq)
 }
 
-func walkInt64s(k *ckpt.Codec, s *[]int64) {
-	ckpt.Sized(k, s, ckpt.WordBytes)
-	for i := range *s {
-		k.I64(&(*s)[i])
+func walkInt64s(k *ckpt.Codec, s []int64) {
+	for i := range s {
+		k.I64(&s[i])
 	}
 }

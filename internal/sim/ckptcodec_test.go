@@ -26,10 +26,10 @@ import (
 func TestCheckpointBytesGolden(t *testing.T) {
 	ck, _ := heapWarmCheckpoint(t)
 	warm := ck.MarshalBinary()
-	if got, want := len(warm), 533862; got != want {
+	if got, want := len(warm), 533798; got != want {
 		t.Errorf("warm heap checkpoint: %d bytes, want %d", got, want)
 	}
-	if got, want := sha256Hex(warm), "4b2d58b80e14a6a1ceaa81258525a62f0d7d0454435eca2a2cfa61a77a8dc31c"; got != want {
+	if got, want := sha256Hex(warm), "b0018b36199fcfd994f7e125e1737285f882cce8abee0b5aba1c499bc810c72d"; got != want {
 		t.Errorf("warm heap checkpoint: sha256 %s, want %s", got, want)
 	}
 
@@ -48,10 +48,10 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		total += len(b)
 		h.Write(b)
 	}
-	if got, want := total, 12921863; got != want {
+	if got, want := total, 12919679; got != want {
 		t.Errorf("mid-run checkpoints: %d bytes, want %d", got, want)
 	}
-	if got, want := hex.EncodeToString(h.Sum(nil)), "54844760a5ebe6b2bcd570ac2bfcf4147d255db444738681bca1351fd1c5107b"; got != want {
+	if got, want := hex.EncodeToString(h.Sum(nil)), "cbf1cd1e1f533c4fcf970548dee05749b82cf42aa562466353372f860ed306b3"; got != want {
 		t.Errorf("mid-run checkpoints: sha256 %s, want %s", got, want)
 	}
 }
@@ -124,20 +124,41 @@ func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
 }
 
 // TestCheckpointDecodeRejectsNonCanonicalFlags: a flag byte or config
-// flag word other than 0 or 1 fails to decode, so two blobs never decode
-// to one checkpoint.
+// flag word other than 0 or 1 fails, so two blobs never decode to one
+// checkpoint. In the header it fails the decode; in State, which stays
+// opaque until a resume, it fails the resume.
 func TestCheckpointDecodeRejectsNonCanonicalFlags(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		set  func(*Checkpoint)
 	}{
-		{"Halted byte", func(ck *Checkpoint) { ck.Halted = true }},
+		{"SuffixFree byte", func(ck *Checkpoint) { ck.SuffixFree = true }},
 		{"PartialSpeculation word", func(ck *Checkpoint) { ck.Config.PartialSpeculation = true }},
 	} {
 		blob := nonCanonicalFlag(c.set)
 		if _, err := UnmarshalCheckpoint(blob); err == nil {
 			t.Errorf("%s of 7 decoded without error", c.name)
 		}
+	}
+
+	cfg, w := tinyCase(t)
+	core := tinyPaused(t)
+	ck, err := core.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.halted = true
+	halted, err := ckpt.Encode(core.walkState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.State[firstDiff(ck.State, halted)] = 7
+	ck, err = UnmarshalCheckpoint(ck.MarshalBinary())
+	if err != nil {
+		t.Fatalf("blob with a halted flag of 7 in State did not decode: %v", err)
+	}
+	if _, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), ck); err == nil {
+		t.Error("halted flag of 7 resumed without error")
 	}
 }
 
@@ -194,7 +215,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(zero.MarshalBinary())
 	f.Add(real)
 	f.Add(real[:len(real)/2])
-	f.Add(nonCanonicalFlag(func(ck *Checkpoint) { ck.Halted = true }))
+	f.Add(nonCanonicalFlag(func(ck *Checkpoint) { ck.SuffixFree = true }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := UnmarshalCheckpoint(data)
 		if err != nil {
@@ -207,20 +228,34 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 }
 
 // FuzzResumeCheckpoint: decoding a blob and resuming from it never
-// panics, whatever its component frames hold, and a blob that resumes
-// under its own config re-encodes to itself from the resumed core.
-// FuzzUnmarshalCheckpoint cannot reach the frames' decoders, which run
-// only on resume.
+// panics, whatever its State holds, and a blob that resumes under its own
+// config re-encodes to itself from the resumed core.
+// FuzzUnmarshalCheckpoint cannot reach State's decoder, which runs only
+// on resume.
 func FuzzResumeCheckpoint(f *testing.F) {
 	cfg, w := tinyCase(f)
-	ck := tinyCheckpoint(f)
+	core := tinyPaused(f)
+	ck, err := core.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
 	real := ck.MarshalBinary()
 	f.Add(real)
-	// The heap frame's first free-list count, after the device's miss
-	// counter and the allocator's arena and counters, claims 2^62 entries.
+	// The device's state ends the blob. The heap's first free-list
+	// count, after the device's miss counter and the allocator's arena
+	// and counters, claims 2^62 entries.
+	dev, err := ckpt.Encode(core.dev.(isa.AccelSnapshotter).WalkState)
+	if err != nil {
+		f.Fatal(err)
+	}
 	forged := append([]byte(nil), real...)
-	at := len(forged) - 1 - len(ck.DeviceState) + 7*ckpt.WordBytes
+	at := len(forged) - len(dev) + 7*ckpt.WordBytes
 	binary.LittleEndian.PutUint64(forged[at:], 1<<62)
+	if fck, err := UnmarshalCheckpoint(forged); err != nil {
+		f.Fatalf("forged free-list count fails to decode: %v", err)
+	} else if _, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), fck); err == nil {
+		f.Fatal("forged free-list count resumes: its offset has drifted")
+	}
 	f.Add(forged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := UnmarshalCheckpoint(data)
@@ -259,8 +294,8 @@ func tinyCase(tb testing.TB) (Config, *workload.Workload) {
 	return cfg, w
 }
 
-// tinyCheckpoint is tinyCase paused mid-run.
-func tinyCheckpoint(tb testing.TB) *Checkpoint {
+// tinyPaused is a core running tinyCase, paused mid-run.
+func tinyPaused(tb testing.TB) *Core {
 	tb.Helper()
 	cfg, w := tinyCase(tb)
 	core, err := New(cfg, w.Accelerated, w.NewDevice())
@@ -270,7 +305,13 @@ func tinyCheckpoint(tb testing.TB) *Checkpoint {
 	if paused, err := core.RunTo(ckptBudget, 2000); err != nil || !paused {
 		tb.Fatalf("run did not pause at cycle 2000 (err %v)", err)
 	}
-	ck, err := core.Checkpoint()
+	return core
+}
+
+// tinyCheckpoint is tinyPaused's checkpoint.
+func tinyCheckpoint(tb testing.TB) *Checkpoint {
+	tb.Helper()
+	ck, err := tinyPaused(tb).Checkpoint()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -57,21 +57,14 @@ func (p PredictorConfig) Canonical() PredictorConfig {
 	return p
 }
 
-// Build constructs the predictor.
+// Build constructs the predictor, with Canonical's defaults.
 func (p PredictorConfig) Build() (bpred.Predictor, error) {
-	tb := p.TableBits
-	if tb == 0 {
-		tb = 12
-	}
-	hb := p.HistBits
-	if hb == 0 {
-		hb = 8
-	}
+	p = p.Canonical()
 	switch p.Kind {
-	case "", "gshare":
-		return bpred.NewGShare(tb, hb), nil
+	case "gshare":
+		return bpred.NewGShare(p.TableBits, p.HistBits), nil
 	case "bimodal":
-		return bpred.NewBimodal(tb), nil
+		return bpred.NewBimodal(p.TableBits), nil
 	case "taken":
 		return &bpred.Static{Taken: true}, nil
 	case "not-taken":

@@ -92,6 +92,15 @@ type Stats struct {
 	PipeTrace []PipeEvent
 }
 
+// Clone returns a deep copy of the statistics (the trace slices are the
+// only reference fields).
+func (s Stats) Clone() Stats {
+	out := s
+	out.AccelEvents = append([]AccelEvent(nil), s.AccelEvents...)
+	out.PipeTrace = append([]PipeEvent(nil), s.PipeTrace...)
+	return out
+}
+
 // IPC returns committed instructions per cycle.
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {
