@@ -21,8 +21,8 @@ var nowWriterMethods = map[string]bool{
 	"restoreFrom": true,
 }
 
-// ruleNowWrite (R6) flags writes to the `now` field of a sim Core outside
-// the three sanctioned clock writers, and taking its address there: a
+// ruleNowWrite (R6) flags writes to the `now` field of a sim Core, and
+// taking its address, outside the three sanctioned clock writers: a
 // pointer to the clock (a setter's argument, or a checkpoint walk's field)
 // lets the callee move it. Reads are unrestricted — every stage consults
 // the clock — but time must only move through the tick loop or the
