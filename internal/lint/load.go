@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -118,13 +119,13 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
 	add := func(rel string) {
-		path := l.ModulePath
+		pkg := l.ModulePath
 		if rel != "" && rel != "." {
-			path += "/" + filepath.ToSlash(rel)
+			pkg += "/" + filepath.ToSlash(rel)
 		}
-		if !seen[path] {
-			seen[path] = true
-			out = append(out, path)
+		if !seen[pkg] {
+			seen[pkg] = true
+			out = append(out, pkg)
 		}
 	}
 	for _, pat := range patterns {
@@ -159,7 +160,7 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 		if strings.HasPrefix(pat, l.ModulePath) {
 			pat = strings.TrimPrefix(strings.TrimPrefix(pat, l.ModulePath), "/")
 		}
-		add(pat)
+		add(path.Clean(pat))
 	}
 	sort.Strings(out)
 	return out, nil

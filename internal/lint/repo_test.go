@@ -49,6 +49,7 @@ func TestExpandForms(t *testing.T) {
 		want    string
 	}{
 		{"./internal/sim", "repro/internal/sim"},
+		{"./internal/sim/", "repro/internal/sim"},
 		{"internal/sim", "repro/internal/sim"},
 		{"repro/internal/sim", "repro/internal/sim"},
 	} {

@@ -118,8 +118,13 @@ func (c *Core) restoreFrom(ck *Checkpoint) error {
 	if err := ckpt.Decode(ck.State, c.walkState); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
-	// The issue indexes are derived state: rebuilt, never serialized.
-	if waiting := c.rob.reindex(); waiting != c.iqCount {
+	// The issue indexes and dependent chains are derived state: rebuilt,
+	// never serialized.
+	waiting, err := c.rob.reindex()
+	if err != nil {
+		return fmt.Errorf("sim: corrupt checkpoint: %w", err)
+	}
+	if waiting != c.iqCount {
 		return fmt.Errorf("sim: corrupt checkpoint: %d waiting ROB entries, IQ count %d", waiting, c.iqCount)
 	}
 	return nil

@@ -290,8 +290,9 @@ type bareDevice struct {
 
 // TestCheckpointValidation pins the rejection paths: suffix-bound snapshots
 // refuse cross-mode resume, program mismatches are caught by the hash,
-// corrupt bytes fail to decode, and an invoked non-snapshottable device
-// refuses to checkpoint (while a pristine one does not).
+// corrupt bytes fail to decode, an invoked non-snapshottable device
+// refuses to checkpoint (while a pristine one does not), and a snapshot
+// without device state does not resume under a device that keeps state.
 func TestCheckpointValidation(t *testing.T) {
 	w, err := workload.Heap(workload.HeapConfig{
 		Operations: 120, FillerPerCall: 40, Prefill: 64, Seed: 2,
@@ -348,8 +349,10 @@ func TestCheckpointValidation(t *testing.T) {
 	bare := c
 	bare.dev = func() isa.AccelDevice { return bareDevice{w.NewDevice()} }
 	bcore := bare.newCore(t)
-	if _, err := bcore.Checkpoint(); err != nil {
+	if pristine, err := bcore.Checkpoint(); err != nil {
 		t.Errorf("pristine non-snapshottable device refused to checkpoint: %v", err)
+	} else if _, err := NewFromCheckpoint(cfg, w.Accelerated, w.NewDevice(), pristine); err == nil {
+		t.Error("snapshot without device state resumed under a device that keeps state")
 	}
 	if paused, err := bcore.RunTo(ckptBudget, total/2); err != nil || !paused {
 		t.Fatalf("RunTo: paused=%v err=%v", paused, err)
@@ -357,6 +360,86 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := bcore.Checkpoint(); err == nil {
 		t.Error("invoked non-snapshottable device did not refuse to checkpoint")
 	}
+}
+
+// TestCheckpointRejectsUnwakeableOperands: a checkpoint that leaves a
+// waiting operand where no wakeup reaches it fails to resume, instead of
+// resuming into a consumer that waits forever. Each case corrupts a paused
+// core around the oldest pending operand that has a younger resident and
+// checkpoints it.
+func TestCheckpointRejectsUnwakeableOperands(t *testing.T) {
+	sw := standardWorkloads(t)[0]
+	c := ckptCase{cfg: sw.cfg, prog: sw.w.Baseline}
+	half := refCycles(t, c) / 2
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, core *Core, ci, s int)
+	}{
+		{"producer's wakeUses undercounts its consumers", func(t *testing.T, core *Core, ci, s int) {
+			q := core.rob
+			q.hotAt(q.indexOf(q.at(ci).srcs[s].producer)).wakeUses--
+		}},
+		{"operand waits on a younger entry", func(t *testing.T, core *Core, ci, s int) {
+			// The claim moves along, so every wakeUses still counts
+			// the operands naming its entry.
+			q := core.rob
+			q.hotAt(q.indexOf(q.at(ci).srcs[s].producer)).wakeUses--
+			q.hotAt(ci+1).wakeUses++
+			q.at(ci).srcs[s].producer = q.hotAt(ci + 1).seq
+		}},
+		{"operand waits on a completed entry", func(t *testing.T, core *Core, ci, s int) {
+			q := core.rob
+			d := 0
+			for d < ci && q.hotAt(d).state != sDone {
+				d++
+			}
+			if d == ci {
+				t.Fatalf("no completed entry older than position %d", ci)
+			}
+			q.hotAt(q.indexOf(q.at(ci).srcs[s].producer)).wakeUses--
+			q.hotAt(d).wakeUses++
+			q.at(ci).srcs[s].producer = q.hotAt(d).seq
+		}},
+		{"pend mask names no source", func(t *testing.T, core *Core, ci, s int) {
+			core.rob.hotAt(ci).pendMask |= 1 << 3
+		}},
+		{"issued entry has a pending operand", func(t *testing.T, core *Core, ci, s int) {
+			core.rob.hotAt(ci).state = sIssued
+			core.iqCount--
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			core := c.newCore(t)
+			if paused, err := core.RunTo(ckptBudget, half); err != nil || !paused {
+				t.Fatalf("RunTo: paused=%v err=%v", paused, err)
+			}
+			ci, s := pendingOperand(core)
+			if ci < 0 {
+				t.Fatalf("no pending operand with a younger resident at cycle %d", core.Cycle())
+			}
+			tc.corrupt(t, core, ci, s)
+			ck, err := core.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewFromCheckpoint(c.cfg, c.prog, nil, ck); err == nil {
+				t.Error("resume accepted an operand no wakeup reaches")
+			}
+		})
+	}
+}
+
+// pendingOperand returns the position and source of the oldest pending
+// operand whose entry has a younger resident, or -1.
+func pendingOperand(c *Core) (pos, src int) {
+	for i := 0; i+1 < c.rob.len(); i++ {
+		for s := 0; s < 3; s++ {
+			if c.rob.hotAt(i).pendMask&(1<<uint(s)) != 0 {
+				return i, s
+			}
+		}
+	}
+	return -1, 0
 }
 
 // TestCheckpointComponentsRoundTrip: resuming from a mid-run checkpoint

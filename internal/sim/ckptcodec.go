@@ -165,7 +165,9 @@ func walkROB(k *ckpt.Codec, q *robQueue) {
 // follows, and that state. A device that was never invoked needs none: a
 // resume may substitute any fresh device of the same configuration. An
 // invoked device that cannot walk its state fails the checkpoint, and
-// state that the resuming device cannot restore fails the resume.
+// state that the resuming device cannot restore fails the resume, as does
+// a resuming device that keeps state the checkpoint does not carry (its
+// core would re-encode to different bytes).
 func walkDevice(k *ckpt.Codec, c *Core) {
 	k.Bool(&c.accelEverInvoked)
 	snap, _ := c.dev.(isa.AccelSnapshotter)
@@ -176,6 +178,9 @@ func walkDevice(k *ckpt.Codec, c *Core) {
 		snap.WalkState(k)
 	case has:
 		k.Failf("checkpoint carries device state but the attached device cannot restore it")
+	case snap != nil:
+		// Only a decode gets here: the encoder sets has from snap.
+		k.Failf("checkpoint carries no device state but the resuming device keeps state")
 	case c.accelEverInvoked && !k.Decoding():
 		k.Failf("device %q has been invoked but does not implement isa.AccelSnapshotter", c.dev.Name())
 	case c.accelEverInvoked:

@@ -257,6 +257,17 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		f.Fatal("forged free-list count resumes: its offset has drifted")
 	}
 	f.Add(forged)
+	// A pristine core whose device hides its state checkpoints without
+	// device state, which must not resume under the snapshottable device.
+	bare, err := New(cfg, w.Accelerated, bareDevice{w.NewDevice()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	stateless, err := bare.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stateless.MarshalBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := UnmarshalCheckpoint(data)
 		if err != nil {

@@ -390,29 +390,28 @@ func (c *Core) noteIssued(h *robHot) {
 	c.pushPend(compRecord{cycle: h.readyCycle, seq: h.seq})
 }
 
-// wake delivers a completed result to every dependent operand. Dependents
-// are strictly younger, so the scan starts after the producer's position
-// and stops as soon as the producer's wakeUses consumers are all served.
-// The scan reads only the hot slab until a dependent actually matches.
+// wake delivers a completed result to every dependent operand by walking
+// the producer's dependent chain (robQueue.depHead), newest first. Each
+// node names the consumer's slot and source, so the walk touches only the
+// consumer's hot state and stores the value into its operand; deliveries
+// commute, so their order moves nothing. The walk is bounded by wakeUses:
+// a broken chain leaves a consumer waiting, and the run ends in
+// ErrDeadlock instead of spinning here.
 func (c *Core) wake(pos int, h *robHot) {
-	val := c.rob.at(pos).val
-	for i := pos + 1; h.wakeUses > 0 && i < c.rob.len(); i++ {
-		dh := c.rob.hotAt(i)
-		if dh.state != sWaiting || dh.pendMask == 0 {
-			continue
-		}
-		d := c.rob.at(i)
-		for s := range d.srcs {
-			if dh.pendMask&(1<<uint(s)) != 0 && d.srcs[s].producer == h.seq {
-				dh.pendMask &^= 1 << uint(s)
-				d.srcs[s].value = val
-				h.wakeUses--
-			}
-		}
+	q := c.rob
+	p := q.slot(pos)
+	val := q.cold[p].val
+	for n := q.depHead[p]; n >= 0 && h.wakeUses > 0; n = q.depNext[n] {
+		slot, s := int(n)/3, int(n)%3
+		dh := &q.hot[slot]
+		dh.pendMask &^= 1 << uint(s)
+		q.cold[slot].srcs[s].value = val
+		h.wakeUses--
 		if dh.pendMask == 0 {
-			c.rob.cand.add(c.rob.slot(i))
+			q.cand.add(slot)
 		}
 	}
+	q.depHead[p] = -1
 }
 
 // redirect restarts fetch at pc on the next cycle.
@@ -455,13 +454,16 @@ func (c *Core) squashAfter(keep int) {
 		h := c.rob.hotAt(i)
 		e := c.rob.at(i)
 		c.stats.Squashed++
-		// Release this entry's claims on its producers' wake counters;
-		// every producer (surviving or squashed) is still resident here.
+		// Release this entry's claims on its producers' wake counters
+		// and chains; every producer (surviving or squashed) is still
+		// resident here, and the squashed operands are the newest nodes
+		// of each chain, whichever squashed consumer pops them.
 		if h.pendMask != 0 {
 			for s := range e.srcs {
 				if h.pendMask&(1<<uint(s)) != 0 {
 					if pi := c.rob.indexOf(e.srcs[s].producer); pi >= 0 {
 						c.rob.hotAt(pi).wakeUses--
+						c.rob.popDep(c.rob.slot(pi))
 					}
 				}
 			}

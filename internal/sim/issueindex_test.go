@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -10,8 +11,9 @@ import (
 )
 
 // checkIssueIndex asserts that the ROB's candidate and writer sets equal a
-// from-scratch walk of the resident entries, and that the issue-queue
-// count equals the number of waiting entries.
+// from-scratch walk of the resident entries, that the issue-queue count
+// equals the number of waiting entries, and that every resident's
+// dependent chain holds exactly the operands waiting on it.
 func checkIssueIndex(t *testing.T, c *Core) {
 	t.Helper()
 	q := c.rob
@@ -39,6 +41,51 @@ func checkIssueIndex(t *testing.T, c *Core) {
 	}
 	if waiting != c.iqCount {
 		t.Fatalf("cycle %d: %d waiting entries, iqCount %d", c.Cycle(), waiting, c.iqCount)
+	}
+	checkDepChains(t, c)
+}
+
+// checkDepChains compares every resident producer's dependent chain with
+// the from-scratch list of the operands waiting on it: the (slot, src) of
+// each pending operand whose producer is the resident's seq, newest ROB
+// position first. The chain's length must equal the producer's wakeUses.
+// The walk is bounded by the number of operand nodes, so a cyclic chain
+// fails instead of hanging.
+func checkDepChains(t *testing.T, c *Core) {
+	t.Helper()
+	q := c.rob
+	want := make([][]int32, q.len())
+	for i := 0; i < q.len(); i++ {
+		h, e := q.hotAt(i), q.at(i)
+		for s := range e.srcs {
+			if h.pendMask&(1<<uint(s)) == 0 {
+				continue
+			}
+			pi := q.indexOf(e.srcs[s].producer)
+			if pi < 0 {
+				t.Fatalf("cycle %d: seq %d source %d waits on seq %d, which is not resident",
+					c.Cycle(), h.seq, s, e.srcs[s].producer)
+			}
+			// Prepending keeps the newest position (and within it the
+			// last source) first, the order dispatch pushes in.
+			want[pi] = append([]int32{int32(q.slot(i)*3 + s)}, want[pi]...)
+		}
+	}
+	for i := range want {
+		h := q.hotAt(i)
+		var got []int32
+		for n := q.depHead[q.slot(i)]; n >= 0; n = q.depNext[n] {
+			if len(got) == len(q.depNext) {
+				t.Fatalf("cycle %d: seq %d's dependent chain is longer than %d nodes (cyclic)", c.Cycle(), h.seq, len(q.depNext))
+			}
+			got = append(got, n)
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("cycle %d: seq %d's dependent chain is %v, want %v (nodes slot*3+src)", c.Cycle(), h.seq, got, want[i])
+		}
+		if int(h.wakeUses) != len(got) {
+			t.Fatalf("cycle %d: seq %d has wakeUses %d, %d operands wait on it", c.Cycle(), h.seq, h.wakeUses, len(got))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/isa"
@@ -27,8 +28,8 @@ type operand struct {
 }
 
 // robHot is the per-entry state the busy-cycle walks actually touch:
-// issue reads op and pendMask of each candidate, wakeup reads
-// state/pendMask/wakeUses of the entries after a producer, forwarding
+// issue reads op and pendMask of each candidate, wakeup clears pendMask
+// bits of a producer's consumers and counts down its wakeUses, forwarding
 // reads op/state/readyCycle of older writers, completion matches seq and
 // readyCycle, and the horizon probes the head's state/readyCycle. Packing
 // these into their own slab keeps those walks at a few cache lines instead
@@ -42,8 +43,9 @@ type robHot struct {
 	// (srcs[i].producer in the cold entry). All sources ready == 0.
 	pendMask uint8
 	// wakeUses counts pending dependent operands waiting on this entry's
-	// result, so wake() can stop scanning once every consumer is served
-	// (and skip the scan entirely for results nobody waits on).
+	// result: the length of its dependent chain (robQueue.depHead). It
+	// bounds wake's walk of the chain, so a broken chain cannot spin,
+	// and restoreFrom checks every rebuilt chain against it.
 	wakeUses int32
 }
 
@@ -143,11 +145,21 @@ func (s slotSet) remove(slot int) { s[slot>>6] &^= 1 << uint(slot&63) }
 // popHead and truncate drop departing slots from both, and reindex
 // rebuilds them after a checkpoint restore — so neither is ever
 // serialized.
+//
+// depHead and depNext thread every in-flight producer's waiting operands
+// into a chain, newest first (DESIGN.md, "Issue select"). Operand node
+// slot*3+src is source src of the entry in slot; depHead[slot] is the
+// newest node waiting on the entry in slot, or -1, and depNext[node] the
+// next older node waiting on the same producer. The chains are derived
+// state too: dispatch pushes, squashAfter pops, wake empties, and reindex
+// rebuilds them.
 type robQueue struct {
 	hot     []robHot
 	cold    []robEntry
 	cand    slotSet
 	writers slotSet
+	depHead []int32
+	depNext []int32
 	mask    int
 	head    int
 	count   int
@@ -165,6 +177,8 @@ func newROBQueue(capacity int) *robQueue {
 		cold:    make([]robEntry, size),
 		cand:    make(slotSet, words),
 		writers: make(slotSet, words),
+		depHead: make([]int32, size),
+		depNext: make([]int32, 3*size),
 		mask:    size - 1,
 		limit:   capacity,
 	}
@@ -237,12 +251,29 @@ func (q *robQueue) prev(s slotSet, i int) int {
 	return -1
 }
 
-// push appends a new entry and returns its slot and both halves for
-// initialization; the caller indexes the entry once it is initialized.
+// push appends a new entry, with nothing waiting on it yet, and returns
+// its slot and both halves for initialization; the caller indexes the
+// entry once it is initialized.
 func (q *robQueue) push() (int, *robHot, *robEntry) {
 	i := q.slot(q.count)
 	q.count++
+	q.depHead[i] = -1
 	return i, &q.hot[i], &q.cold[i]
+}
+
+// addDep pushes source src of the entry in slot onto the dependent chain
+// of the producer in pslot.
+func (q *robQueue) addDep(pslot, slot, src int) {
+	n := int32(slot*3 + src)
+	q.depNext[n] = q.depHead[pslot]
+	q.depHead[pslot] = n
+}
+
+// popDep drops the newest node from the dependent chain of the producer
+// in pslot. Dispatch pushes in program order, so a squashed consumer's
+// operands are always the newest nodes of their producer's chain.
+func (q *robQueue) popDep(pslot int) {
+	q.depHead[pslot] = q.depNext[q.depHead[pslot]]
 }
 
 // popHead removes the oldest entry.
@@ -262,22 +293,51 @@ func (q *robQueue) truncate(n int) {
 	q.count = n
 }
 
-// reindex rebuilds cand and writers from the slabs and returns the number
-// of waiting entries.
-func (q *robQueue) reindex() (waiting int) {
+// reindex rebuilds cand, writers and the dependent chains from the slabs
+// and returns the number of waiting entries. The chains are rebuilt
+// oldest-first, as dispatch built them. It fails when a pending operand
+// does not wait on an older in-flight resident or an entry's wakeUses
+// differs from its chain's length: no wakeup would reach that consumer.
+func (q *robQueue) reindex() (waiting int, err error) {
 	clear(q.cand)
 	clear(q.writers)
 	for i := 0; i < q.count; i++ {
-		h := q.hotAt(i)
+		slot := q.slot(i)
+		h := &q.hot[slot]
+		q.depHead[slot] = -1
 		if h.isCandidate() {
-			q.cand.add(q.slot(i))
+			q.cand.add(slot)
 		}
 		if h.isWriter() {
-			q.writers.add(q.slot(i))
+			q.writers.add(slot)
 		}
 		if h.state == sWaiting {
 			waiting++
 		}
+		if h.pendMask != 0 && (h.state != sWaiting || h.pendMask>>3 != 0) {
+			return 0, fmt.Errorf("entry seq %d: pend mask %#x in state %d", h.seq, h.pendMask, h.state)
+		}
+		for s := range q.cold[slot].srcs {
+			if h.pendMask&(1<<uint(s)) == 0 {
+				continue
+			}
+			p := q.cold[slot].srcs[s].producer
+			pi := q.indexOf(p)
+			if pi < 0 || pi >= i || q.hotAt(pi).state == sDone {
+				return 0, fmt.Errorf("entry seq %d source %d waits on seq %d, not an older in-flight entry", h.seq, s, p)
+			}
+			q.addDep(q.slot(pi), slot, s)
+		}
 	}
-	return waiting
+	for i := 0; i < q.count; i++ {
+		slot := q.slot(i)
+		n := 0
+		for d := q.depHead[slot]; d >= 0; d = q.depNext[d] {
+			n++
+		}
+		if h := &q.hot[slot]; int32(n) != h.wakeUses {
+			return 0, fmt.Errorf("entry seq %d: wakeUses %d, %d operands wait on it", h.seq, h.wakeUses, n)
+		}
+	}
+	return waiting, nil
 }

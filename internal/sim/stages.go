@@ -271,6 +271,7 @@ func (c *Core) dispatch() {
 						e.srcs[i] = operand{producer: rn.seq}
 						h.pendMask |= 1 << uint(i)
 						ph.wakeUses++
+						c.rob.addDep(c.rob.slot(pi), slot, i)
 					} else {
 						e.srcs[i] = operand{value: c.rob.at(pi).val}
 					}
