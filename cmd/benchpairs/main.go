@@ -6,7 +6,8 @@
 //	go run ./cmd/benchpairs -parent REV [-change REV] [-workloads a,b] [-pairs N] [-seed S]
 //
 // Each revision is exported with git archive into
-// .bench_build/pairs/<commit>/, so no worktree is registered. For every
+// .bench_build/pairs/<commit>/, so no worktree is registered; a later
+// comparison reuses the export and its build cache. For every
 // workload, each pair runs BENCHMARK.json's command once in each export
 // with --workload W --seed S --seconds <run_seconds> --trace 0; the
 // parent runs first in even pairs and the change first in odd ones.
@@ -17,7 +18,8 @@
 // parent), in how many pairs the change was better (ties count for
 // neither), and whether the medians differ by more than the parent's
 // interquartile range. A second table gives each side's correct runs and
-// its attempted and failed operations.
+// its attempted and failed operations. Every run's values go to standard
+// error as it finishes.
 package main
 
 import (
@@ -139,12 +141,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 				order = []*rev{sides[1], sides[0]}
 			}
 			for _, s := range order {
-				fmt.Fprintf(stderr, "benchpairs: %s pair %d/%d: %s\n", w, p+1, *pairs, s.name)
 				r, err := runOnce(b, s.dir, w, *seed, stderr)
 				if err != nil {
 					return fmt.Errorf("%s %s pair %d: %w", w, s.name, p+1, err)
 				}
 				runs[w][s.name] = append(runs[w][s.name], r)
+				fmt.Fprintf(stderr, "benchpairs: %s pair %d/%d %s: correct=%v failed=%d/%d", w, p+1, *pairs, s.name, r.Correct, r.Failed, r.Attempted)
+				for _, m := range b.EndToEnd {
+					fmt.Fprintf(stderr, " %s=%g", m.Name, r.Metrics[m.Name].Value)
+				}
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -211,19 +217,25 @@ func git(dir string, args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// export replaces dir with the committed files of commit, piping git
-// archive into tar.
+// export makes dir hold the committed files of commit, piping git
+// archive into tar. The files are extracted beside dir and renamed into
+// place, so an existing dir is a complete export: it is reused, with the
+// build cache earlier runs left in it.
 func export(root, commit, dir string, stderr io.Writer) error {
-	if err := os.RemoveAll(dir); err != nil {
+	if _, err := os.Stat(dir); err == nil {
+		return nil
+	}
+	tmp := dir + ".tmp"
+	if err := os.RemoveAll(tmp); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
 	archive := exec.Command("git", "archive", "--format=tar", commit)
 	archive.Dir = root
 	archive.Stderr = stderr
-	tar := exec.Command("tar", "-x", "-C", dir)
+	tar := exec.Command("tar", "-x", "-C", tmp)
 	tar.Stderr = stderr
 	pipe, err := archive.StdoutPipe()
 	if err != nil {
@@ -240,7 +252,7 @@ func export(root, commit, dir string, stderr io.Writer) error {
 	if err := tar.Wait(); err != nil {
 		return fmt.Errorf("extracting %s: %w", commit, err)
 	}
-	return nil
+	return os.Rename(tmp, dir)
 }
 
 // runOnce runs the benchmark command in dir on one workload and parses
