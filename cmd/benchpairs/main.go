@@ -265,6 +265,9 @@ func runOnce(b benchmark, dir, workload string, seed int64, stderr io.Writer) (r
 		"--trace", "0")
 	cmd := exec.Command(b.Command[0], args...)
 	cmd.Dir = dir
+	// The export sits inside this repository's work tree, where the go
+	// command would stamp the binary with this checkout's commit.
+	cmd.Env = append(os.Environ(), "GOFLAGS="+strings.TrimSpace(os.Getenv("GOFLAGS")+" -buildvcs=false"))
 	cmd.Stderr = stderr
 	out, err := cmd.Output()
 	if err != nil {

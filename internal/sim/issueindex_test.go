@@ -47,8 +47,9 @@ func checkIssueIndex(t *testing.T, c *Core) {
 
 // checkDepChains compares every resident producer's dependent chain with
 // the from-scratch list of the operands waiting on it: the (slot, src) of
-// each pending operand whose producer is the resident's seq, newest ROB
-// position first. The chain's length must equal the producer's wakeUses.
+// each pending operand whose producer is the resident's seq, in ROB order.
+// The chain must run newest first and be as long as the producer's
+// wakeUses.
 // The walk is bounded by the number of operand nodes, so a cyclic chain
 // fails instead of hanging.
 func checkDepChains(t *testing.T, c *Core) {
@@ -66,9 +67,7 @@ func checkDepChains(t *testing.T, c *Core) {
 				t.Fatalf("cycle %d: seq %d source %d waits on seq %d, which is not resident",
 					c.Cycle(), h.seq, s, e.srcs[s].producer)
 			}
-			// Prepending keeps the newest position (and within it the
-			// last source) first, the order dispatch pushes in.
-			want[pi] = append([]int32{int32(q.slot(i)*3 + s)}, want[pi]...)
+			want[pi] = append(want[pi], int32(q.slot(i)*3+s))
 		}
 	}
 	for i := range want {
@@ -80,8 +79,11 @@ func checkDepChains(t *testing.T, c *Core) {
 			}
 			got = append(got, n)
 		}
+		// Dispatch pushes in program order, so the chain runs newest
+		// first: reversed, it is the oldest-first list.
+		slices.Reverse(got)
 		if !slices.Equal(got, want[i]) {
-			t.Fatalf("cycle %d: seq %d's dependent chain is %v, want %v (nodes slot*3+src)", c.Cycle(), h.seq, got, want[i])
+			t.Fatalf("cycle %d: seq %d's dependent chain, oldest first, is %v, want %v (nodes slot*3+src)", c.Cycle(), h.seq, got, want[i])
 		}
 		if int(h.wakeUses) != len(got) {
 			t.Fatalf("cycle %d: seq %d has wakeUses %d, %d operands wait on it", c.Cycle(), h.seq, h.wakeUses, len(got))
