@@ -122,11 +122,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		s.dir = filepath.Join(root, ".bench_build", "pairs", s.commit)
-	}
-	for i, s := range sides {
-		if i > 0 && s.dir == sides[0].dir {
-			continue // one export serves both sides
-		}
 		if err := export(root, s.commit, s.dir, stderr); err != nil {
 			return err
 		}
