@@ -119,13 +119,13 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
 	add := func(rel string) {
-		pkg := l.ModulePath
+		path := l.ModulePath
 		if rel != "" && rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
+			path += "/" + filepath.ToSlash(rel)
 		}
-		if !seen[pkg] {
-			seen[pkg] = true
-			out = append(out, pkg)
+		if !seen[path] {
+			seen[path] = true
+			out = append(out, path)
 		}
 	}
 	for _, pat := range patterns {
