@@ -1,7 +1,6 @@
 // Package repro's top-level benchmarks regenerate every table and figure
-// of the paper's evaluation (one benchmark per artifact, reporting the
-// headline quantities as custom metrics) plus micro-benchmarks of the
-// engines underneath.
+// of the paper's evaluation (one sub-benchmark per section of the
+// figures artifact) plus micro-benchmarks of the engines underneath.
 //
 // Run everything:
 //
@@ -12,6 +11,8 @@
 package repro
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -25,68 +26,19 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkFig2Granularity regenerates the introduction's granularity
-// study: analytical speedup for all four modes across 8 decades of
-// accelerator granularity.
-func BenchmarkFig2Granularity(b *testing.B) {
-	var last *experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(experiments.DefaultFig2())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+// BenchmarkArtifact regenerates each section of the figures artifact
+// at its -quick sizes, one sub-benchmark per section (named by its -fig
+// IDs), without a store so every iteration simulates.
+func BenchmarkArtifact(b *testing.B) {
+	for _, sec := range experiments.Sections {
+		b.Run(strings.Join(sec.IDs, "+"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sec.Run(io.Discard, experiments.Options{Quick: true, MatMulN: 64}, "all"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	fine := last.Points[0].Speedups
-	b.ReportMetric(fine.LT, "fine-L_T-speedup")
-	b.ReportMetric(fine.NLNT, "fine-NL_NT-speedup")
-}
-
-// BenchmarkFig3Timelines regenerates the per-mode interval timelines.
-func BenchmarkFig3Timelines(b *testing.B) {
-	p := core.HPCore().Apply(core.Params{
-		AcceleratableFrac: 0.3, InvocationFreq: 0.003, AccelFactor: 3,
-	})
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4SyntheticSweep regenerates (a reduced) synthetic
-// microbenchmark validation: simulator vs model across invocation counts,
-// reporting the worst-case model error.
-func BenchmarkFig4SyntheticSweep(b *testing.B) {
-	cfg := experiments.DefaultFig4()
-	cfg.Units = 150
-	cfg.RegionCounts = []int{5, 20, 80}
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst = res.MaxAbsError()
-	}
-	b.ReportMetric(100*worst, "max-error-%")
-}
-
-// BenchmarkFig5Heap regenerates (a reduced) heap-manager validation sweep,
-// reporting the L_T speedup at the highest call frequency.
-func BenchmarkFig5Heap(b *testing.B) {
-	cfg := experiments.DefaultFig5()
-	cfg.Operations = 200
-	cfg.FillerCounts = []int{0, 40, 160}
-	var headline float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		headline = res.Rows[0].Result.Mode(accel.LT).SimSpeedup
-	}
-	b.ReportMetric(headline, "hifreq-L_T-speedup")
 }
 
 // BenchmarkFig5HeapWarmupFork measures what warm-checkpoint forking buys
@@ -121,7 +73,7 @@ func BenchmarkFig5HeapWarmupFork(b *testing.B) {
 					Program:   w.Accelerated,
 					NewDevice: w.NewDevice,
 					DeviceKey: w.DeviceKey,
-					MaxCycles: 4_000_000_000,
+					MaxCycles: experiments.MaxCycles,
 				})
 			}
 		}
@@ -151,169 +103,6 @@ func BenchmarkFig5HeapWarmupFork(b *testing.B) {
 	}
 	b.Run("Fork", func(b *testing.B) { sweep(b, true) })
 	b.Run("Direct", func(b *testing.B) { sweep(b, false) })
-}
-
-// BenchmarkFig6MatMul regenerates (a reduced) DGEMM validation: 2x2, 4x4
-// and 8x8 accelerators in all four modes, reporting the 8x8 L_T speedup.
-func BenchmarkFig6MatMul(b *testing.B) {
-	cfg := experiments.Fig6Config{
-		Core: sim.HighPerfConfig(), N: 32, Block: 16, Tiles: []int{2, 4, 8}, Seed: 3,
-	}
-	var headline float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		headline = res.Rows[2].Result.Mode(accel.LT).SimSpeedup
-	}
-	b.ReportMetric(headline, "8x8-L_T-speedup")
-}
-
-// BenchmarkFig7Heatmap regenerates the design-space heatmaps (2 cores x 4
-// modes), reporting the HP core's NL_NT slowdown share.
-func BenchmarkFig7Heatmap(b *testing.B) {
-	var share map[string]float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(experiments.DefaultFig7())
-		if err != nil {
-			b.Fatal(err)
-		}
-		share = res.SlowdownShare()
-	}
-	b.ReportMetric(100*share["ipc1.8-NL_NT"], "hp-NL_NT-slowdown-%")
-}
-
-// BenchmarkFig8Concurrency regenerates the coverage study, reporting the
-// L_T peak (the paper's A+1 concurrency headline).
-func BenchmarkFig8Concurrency(b *testing.B) {
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.DefaultFig8())
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak = res.PeakSpeedup
-	}
-	b.ReportMetric(peak, "peak-speedup")
-}
-
-// BenchmarkE1LogCAComparison regenerates the LogCA-vs-TCA-model extension
-// study.
-func BenchmarkE1LogCAComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E1(experiments.DefaultE1()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE2Pareto regenerates the hardware-cost Pareto extension study.
-func BenchmarkE2Pareto(b *testing.B) {
-	gs := []float64{30, 100, 300, 1e3, 1e4, 1e6}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E2(core.HPCore(), gs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE3PartialSpeculation regenerates the partial-speculation
-// extension study (simulated), reporting the squash reduction at the
-// highest surprise rate.
-func BenchmarkE3PartialSpeculation(b *testing.B) {
-	cfg := experiments.DefaultE3()
-	cfg.Iterations = 200
-	cfg.SkipEvery = []int{3, 8}
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := res.Points[0]
-		saved = float64(p.FullSquashed - p.PartialSquashed)
-	}
-	b.ReportMetric(saved, "squashes-avoided")
-}
-
-// BenchmarkE4HashStringTCAs regenerates the hash-map/string-compare
-// validation study, reporting the hash-map L_T speedup at high frequency.
-func BenchmarkE4HashStringTCAs(b *testing.B) {
-	// Default operation count: the TCAs are profitable at steady state
-	// (cold tables make the hash TCA a net loss; see EXPERIMENTS.md).
-	cfg := experiments.DefaultE4()
-	cfg.FillerCounts = []int{5, 80}
-	var headline float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		headline = res.Rows[0].Result.Mode(accel.LT).SimSpeedup
-	}
-	b.ReportMetric(headline, "kvstore-L_T-speedup")
-}
-
-// BenchmarkE5MultiTCA regenerates the heterogeneous multi-accelerator
-// study, reporting its worst model error.
-func BenchmarkE5MultiTCA(b *testing.B) {
-	cfg := experiments.DefaultE5()
-	cfg.Calls = 60
-	cfg.FillerCounts = []int{50, 800}
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst = res.MaxAbsError()
-	}
-	b.ReportMetric(100*worst, "max-error-%")
-}
-
-// BenchmarkAblationDrainEstimators runs the A1 drain-estimator ablation,
-// reporting the NL_NT error of the harness-default estimator.
-func BenchmarkAblationDrainEstimators(b *testing.B) {
-	w, err := workload.Heap(workload.HeapConfig{
-		Operations: 200, FillerPerCall: 40, Prefill: 256, Seed: 11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var defErr float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MeasureWorkload(sim.HighPerfConfig(), w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows, err := experiments.DrainAblation(res)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defErr = rows[0].NLNTError
-	}
-	b.ReportMetric(100*defErr, "default-NL_NT-error-%")
-}
-
-// BenchmarkAblationLoadOrdering runs the A2 LSQ-disambiguation ablation,
-// reporting the IPC gain from the decoupled store AGU.
-func BenchmarkAblationLoadOrdering(b *testing.B) {
-	w, err := workload.Heap(workload.HeapConfig{
-		Operations: 300, FillerPerCall: 10, Prefill: 256, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		ab, err := experiments.LoadOrdering(sim.HighPerfConfig(), w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = ab.DecoupledIPC/ab.ConservativeIPC - 1
-	}
-	b.ReportMetric(100*gain, "ipc-gain-%")
 }
 
 // --- engine micro-benchmarks ---

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	figures [-fig all|2|3|4|5|6|7|8|staticerr|devcross] [-out DIR] [-matmul-n N] [-quick] [-parallel N]
+//	figures [-fig all|2|3|4|5|6|7|8|e1|e2|e3|e4|e5|a1|a2|staticerr|devcross] [-out DIR] [-matmul-n N] [-quick] [-parallel N]
 //	        [-cache-dir DIR] [-no-cache] [-no-ckpt-fork]
 //	        [-static-prune] [-prune-topk K] [-prune-audit N] [-prune-seed S]
 //
@@ -47,11 +47,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -62,7 +59,7 @@ func main() {
 
 func realMain() int {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: all, 2, 3, 4, 5, 6, 7, 8, e1, e2, e3, e4, e5, a1, a2, staticerr, devcross")
+		fig      = flag.String("fig", "all", "figure to regenerate: "+strings.Join(experiments.IDs(), ", "))
 		out      = flag.String("out", "", "directory for CSV output (default: none, stdout only)")
 		matmulN  = flag.Int("matmul-n", 64, "matrix edge for Fig 6 (paper: 512)")
 		quick    = flag.Bool("quick", false, "shrink simulated sweeps for a fast smoke run")
@@ -127,7 +124,8 @@ func realMain() int {
 	}
 
 	start := time.Now()
-	if err := run(*fig, *out, *matmulN, *quick, *parallel, store, prune); err != nil {
+	opts := experiments.Options{Store: store, Parallel: *parallel, Quick: *quick, MatMulN: *matmulN, Prune: prune}
+	if err := run(*fig, *out, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 1
 	}
@@ -139,318 +137,33 @@ func realMain() int {
 	return 0
 }
 
-func run(fig, out string, matmulN int, quick bool, parallel int, store *scenario.Store, prune *experiments.StaticPruneConfig) error {
-	want := func(id string) bool { return fig == "all" || fig == id }
-	saveCSV := func(name, data string) error {
-		if out == "" {
-			return nil
-		}
-		if err := os.MkdirAll(out, 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(out, name), []byte(data), 0o644)
+// run regenerates the sections -fig selects, in table order. Each
+// section's timing and static prune report go to stderr, keeping the
+// stdout artifact byte-stable.
+func run(fig, out string, o experiments.Options) error {
+	secs, err := experiments.Select(fig)
+	if err != nil {
+		return err
 	}
-	// Per-figure timing goes to stderr when the next section opens (and
-	// once more at return), keeping the stdout artifact byte-stable.
-	var secTitle string
-	var secStart time.Time
-	closeSection := func() {
-		if secTitle != "" {
-			fmt.Fprintf(os.Stderr, "figures: %v  %s\n",
-				time.Since(secStart).Round(time.Millisecond), secTitle)
-		}
-		secTitle = ""
-	}
-	defer closeSection()
-	section := func(title string) {
-		closeSection()
-		secTitle, secStart = title, time.Now()
-		fmt.Printf("\n%s\n%s\n\n", title, strings.Repeat("=", len(title)))
-	}
-
-	if want("2") {
-		section("Figure 2 — speedup vs accelerator granularity (analytical)")
-		res, err := experiments.Fig2(experiments.DefaultFig2())
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("fig2.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("3") {
-		section("Figure 3 — per-mode interval timelines (illustrative)")
-		p := core.HPCore().Apply(core.Params{
-			AcceleratableFrac: 0.3, InvocationFreq: 0.003, AccelFactor: 3,
-		})
-		txt, err := experiments.Fig3(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(txt)
-	}
-
-	if want("4") {
-		section("Figure 4 — model error on the synthetic microbenchmark (simulated)")
-		cfg := experiments.DefaultFig4()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		cfg.Prune = prune
-		if quick {
-			cfg.RegionCounts = []int{5, 40, 320}
-		}
-		res, err := experiments.Fig4(cfg)
+	for _, sec := range secs {
+		start := time.Now()
+		fmt.Printf("\n%s\n%s\n\n", sec.Title, strings.Repeat("=", len(sec.Title)))
+		res, err := sec.Run(os.Stdout, o, fig)
 		if err != nil {
 			return err
 		}
 		if res.Prune != nil {
-			fmt.Fprintln(os.Stderr, "figures: fig4", res.Prune)
+			fmt.Fprintln(os.Stderr, "figures:", strings.TrimSuffix(sec.CSV, ".csv"), res.Prune)
 		}
-		fmt.Print(res.Render())
-		fmt.Printf("\nmax |error| across sweep: %.1f%%\n", 100*res.MaxAbsError())
-		if err := saveCSV("fig4.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("5") {
-		section("Figure 5 — heap manager TCA validation (simulated)")
-		cfg := experiments.DefaultFig5()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		cfg.Prune = prune
-		if quick {
-			cfg.Operations = 200
-			cfg.FillerCounts = []int{0, 20, 160}
-		}
-		res, err := experiments.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		if res.Prune != nil {
-			fmt.Fprintln(os.Stderr, "figures: fig5", res.Prune)
-		}
-		fmt.Print(res.Render())
-		fmt.Printf("\nmax |error| across sweep: %.1f%%\n", 100*res.MaxAbsError())
-		if err := saveCSV("fig5.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("6") {
-		section("Figure 6 — DGEMM TCA validation (simulated)")
-		cfg := experiments.DefaultFig6()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		cfg.N = matmulN
-		if quick {
-			cfg.N = 32
-			cfg.Block = 16
-		}
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		fmt.Printf("\nmax |error| across tiles/modes: %.1f%%\n", 100*res.MaxAbsError())
-		if err := saveCSV("fig6.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("7") {
-		section("Figure 7 — design-space heatmaps (analytical)")
-		res, err := experiments.Fig7(experiments.DefaultFig7())
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("fig7.csv", res.CSV()); err != nil {
-			return err
-		}
-		// Spot-check the red/blue boundary on the simulator.
-		svCfg := experiments.DefaultFig7Sim()
-		svCfg.Parallel = parallel
-		svCfg.Store = store
-		sv, err := experiments.Fig7Sim(svCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(sv.Render())
-	}
-
-	if want("8") {
-		section("Figure 8 — concurrency: speedup vs coverage (analytical)")
-		res, err := experiments.Fig8(experiments.DefaultFig8())
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("fig8.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("e1") {
-		section("Extension E1 — LogCA vs the TCA model (analytical)")
-		res, err := experiments.E1(experiments.DefaultE1())
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("e1.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("e2") {
-		section("Extension E2 — Pareto study of mode hardware costs (analytical)")
-		res, err := experiments.E2(core.HPCore(), []float64{30, 100, 300, 1e3, 1e4, 1e6})
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("e2.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("e3") {
-		section("Extension E3 — confidence-gated partial TCA speculation (simulated)")
-		cfg := experiments.DefaultE3()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		if quick {
-			cfg.Iterations = 150
-			cfg.SkipEvery = []int{3, 8}
-		}
-		res, err := experiments.E3(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("e3.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("e4") {
-		section("Extension E4 — hash-map and string-compare TCA validation (simulated)")
-		cfg := experiments.DefaultE4()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		if quick {
-			cfg.Operations = 200
-			cfg.FillerCounts = []int{5, 80}
-		}
-		res, err := experiments.E4(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		fmt.Printf("\nmax |error| across study: %.1f%%\n", 100*res.MaxAbsError())
-		if err := saveCSV("e4.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("e5") {
-		section("Extension E5 — heterogeneous multi-TCA complex (simulated)")
-		cfg := experiments.DefaultE5()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		if quick {
-			cfg.Calls = 60
-			cfg.FillerCounts = []int{50, 800}
-		}
-		res, err := experiments.E5(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		fmt.Printf("\nmax |error| across study: %.1f%%\n", 100*res.MaxAbsError())
-		if err := saveCSV("e5.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	// The accuracy table is on-demand only (fig == "staticerr", never
-	// part of "all"): it re-simulates the Fig 4/5 sweeps, and keeping it
-	// out of "all" keeps the stock artifact byte-stable.
-	if fig == "staticerr" {
-		section("Static tier — static-vs-simulated speedup error (Fig 4 + Fig 5 points)")
-		cfg := experiments.DefaultStaticErr()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		if quick {
-			cfg.Fig4.RegionCounts = []int{5, 40, 320}
-			cfg.Fig5.Operations = 200
-			cfg.Fig5.FillerCounts = []int{0, 20, 160}
-		}
-		res, err := experiments.StaticErr(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("staticerr.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	// The device-family crossover is on-demand only (fig == "devcross",
-	// never part of "all"), like staticerr: keeping new studies out of
-	// "all" keeps the stock artifact byte-stable.
-	if fig == "devcross" {
-		section("Device engine — DAE and loop-accelerator mode crossover (simulated)")
-		cfg := experiments.DefaultDevCross()
-		cfg.Parallel = parallel
-		cfg.Store = store
-		if quick {
-			cfg.DAE.Streams = 6
-			cfg.DAEWords = []int{4, 64}
-			cfg.Loop.Calls = 6
-			cfg.LoopTrips = []int{2, 8}
-		}
-		res, err := experiments.DevCross(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if err := saveCSV("devcross.csv", res.CSV()); err != nil {
-			return err
-		}
-	}
-
-	if want("a1") || want("a2") {
-		section("Ablations — drain estimation (A1) and LSQ disambiguation (A2)")
-		w, err := workload.Heap(workload.HeapConfig{
-			Operations: 400, FillerPerCall: 40, Prefill: 512, Seed: 11,
-		})
-		if err != nil {
-			return err
-		}
-		if want("a1") {
-			res, err := experiments.MeasureWorkloadStore(store, sim.HighPerfConfig(), w, parallel)
-			if err != nil {
+		if out != "" && sec.CSV != "" {
+			if err := os.MkdirAll(out, 0o755); err != nil {
 				return err
 			}
-			rows, err := experiments.DrainAblation(res)
-			if err != nil {
+			if err := os.WriteFile(filepath.Join(out, sec.CSV), []byte(res.CSV), 0o644); err != nil {
 				return err
 			}
-			fmt.Print(experiments.RenderDrainAblation(rows))
-			fmt.Println()
 		}
-		if want("a2") {
-			ab, err := experiments.LoadOrderingStore(store, sim.HighPerfConfig(), w, parallel)
-			if err != nil {
-				return err
-			}
-			fmt.Print(ab.Render())
-		}
+		fmt.Fprintf(os.Stderr, "figures: %v  %s\n", time.Since(start).Round(time.Millisecond), sec.Title)
 	}
 	return nil
 }

@@ -113,14 +113,9 @@ func LoadOrdering(cfg sim.Config, w *workload.Workload) (*LoadOrderingAblation, 
 	return LoadOrderingStore(nil, cfg, w, 0)
 }
 
-// LoadOrderingParallel is LoadOrdering with an explicit worker count
-// (<= 0 selects GOMAXPROCS); both policy runs fan out as one job each.
-func LoadOrderingParallel(cfg sim.Config, w *workload.Workload, parallel int) (*LoadOrderingAblation, error) {
-	return LoadOrderingStore(nil, cfg, w, parallel)
-}
-
-// LoadOrderingStore is LoadOrderingParallel through a scenario store:
-// the decoupled run is digest-identical to the workload's measurement
+// LoadOrderingStore is LoadOrdering through a scenario store, both
+// policy runs fanned out parallel wide (<= 0 selects GOMAXPROCS): the
+// decoupled run is digest-identical to the workload's measurement
 // baseline, so with a shared store one of the two executions is free.
 func LoadOrderingStore(store *scenario.Store, cfg sim.Config, w *workload.Workload, parallel int) (*LoadOrderingAblation, error) {
 	policies := []struct {
@@ -140,7 +135,7 @@ func LoadOrderingStore(store *scenario.Store, cfg sim.Config, w *workload.Worklo
 			stats, err := store.RunStats(scenario.Spec{
 				Config:    c,
 				Program:   w.Baseline,
-				MaxCycles: maxCycles,
+				MaxCycles: MaxCycles,
 			})
 			if err != nil {
 				return sim.Stats{}, fmt.Errorf("experiments: load ordering (%s): %w", p.name, err)

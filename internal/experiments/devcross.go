@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/isa"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/staticmodel"
 	"repro/internal/textplot"
 	"repro/internal/workload"
 )
@@ -86,84 +85,51 @@ type DevCrossResult struct {
 	Rows []DevCrossRow
 }
 
-// devCrossPoint pairs a sweep point with its workload builder and the
-// device schedule feeding the static occupancy term.
-type devCrossPoint struct {
-	family   string
-	point    int
-	build    func() (*workload.Workload, error)
-	schedule func() []isa.AccelPhase
-}
-
-// devCrossSchedule extracts a device's occupancy schedule by invoking it
-// once against a blank memory image — the exact schedule the simulator's
-// engine would execute, so the static term cannot drift from the device.
-func devCrossSchedule(dev isa.AccelDevice, call isa.AccelCall) []isa.AccelPhase {
-	return dev.Invoke(call, isa.NewMemory()).Schedule
+// devCrossOccupancy is the static tier's engine occupancy for one device
+// call. The schedule comes from invoking the device once against a blank
+// memory image — the exact schedule the simulator's engine would
+// execute, so the static term cannot drift from the device.
+func devCrossOccupancy(m staticmodel.Machine, dev isa.AccelDevice, call isa.AccelCall) float64 {
+	return m.EngineOccupancy(dev.Invoke(call, isa.NewMemory()).Schedule)
 }
 
 // DevCross runs the study.
 func DevCross(cfg DevCrossConfig) (*DevCrossResult, error) {
-	points := make([]devCrossPoint, 0, len(cfg.DAEWords)+len(cfg.LoopTrips))
+	machine := StaticMachine(cfg.Core)
+	var rows []DevCrossRow
+	var points []Point
 	for _, words := range cfg.DAEWords {
 		wcfg := cfg.DAE
 		wcfg.WordsPerStream = words
-		points = append(points, devCrossPoint{
-			family: "dae",
-			point:  words,
-			build:  func() (*workload.Workload, error) { return workload.DAEStream(wcfg) },
-			schedule: func() []isa.AccelPhase {
-				return devCrossSchedule(
-					accel.NewDAE(wcfg.ChunkWords, wcfg.ComputePerChunk, wcfg.Startup),
-					isa.AccelCall{Kind: accel.DAEReduce, Args: [3]uint64{0x1000, uint64(wcfg.WordsPerStream)}})
-			},
-		})
+		occ := devCrossOccupancy(machine, accel.NewDAE(wcfg.ChunkWords, wcfg.ComputePerChunk, wcfg.Startup),
+			isa.AccelCall{Kind: accel.DAEReduce, Args: [3]uint64{0x1000, uint64(words)}})
+		rows = append(rows, DevCrossRow{Family: "dae", Point: words, StaticOccupancy: occ})
+		points = append(points, Point{Config: cfg.Core, Spec: workload.Spec{Kind: "daestream", DAEStream: &wcfg}})
 	}
 	for _, trips := range cfg.LoopTrips {
 		lcfg := cfg.Loop
 		lcfg.Trips = trips
-		points = append(points, devCrossPoint{
-			family: "loopnest",
-			point:  trips,
-			build:  func() (*workload.Workload, error) { return workload.LoopNest(lcfg) },
-			schedule: func() []isa.AccelPhase {
-				return devCrossSchedule(
-					accel.NewLoopNest(lcfg.Depth, lcfg.IterLatency, lcfg.ConfigLatency),
-					isa.AccelCall{Kind: accel.LoopNestRun, Args: [3]uint64{uint64(lcfg.Trips), 1}})
-			},
-		})
+		occ := devCrossOccupancy(machine, accel.NewLoopNest(lcfg.Depth, lcfg.IterLatency, lcfg.ConfigLatency),
+			isa.AccelCall{Kind: accel.LoopNestRun, Args: [3]uint64{uint64(trips), 1}})
+		rows = append(rows, DevCrossRow{Family: "loopnest", Point: trips, StaticOccupancy: occ})
+		points = append(points, Point{Config: cfg.Core, Spec: workload.Spec{Kind: "loopnest", LoopNest: &lcfg}})
 	}
-	machine := StaticMachine(cfg.Core)
-
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, points,
-		func(_ context.Context, _ int, pt devCrossPoint) (DevCrossRow, error) {
-			w, err := pt.build()
-			if err != nil {
-				return DevCrossRow{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, 1)
-			if err != nil {
-				return DevCrossRow{}, err
-			}
-			row := DevCrossRow{
-				Family:          pt.family,
-				Point:           pt.point,
-				Granularity:     w.Granularity(),
-				StaticOccupancy: machine.EngineOccupancy(pt.schedule()),
-			}
-			var best float64
-			for i, m := range accel.AllModes {
-				sp := res.Mode(m).SimSpeedup
-				row.Modes = append(row.Modes, DevCrossMode{Mode: m, Speedup: sp})
-				if i == 0 || sp > best {
-					best = sp
-					row.Best = m
-				}
-			}
-			return row, nil
-		})
+	res, _, err := sweep(cfg.Store, cfg.Parallel, 1, points, nil)
 	if err != nil {
 		return nil, err
+	}
+	for i := range rows {
+		row := &rows[i]
+		row.Granularity = res[i].Workload.Granularity()
+		var best float64
+		for j, m := range accel.AllModes {
+			sp := res[i].Mode(m).SimSpeedup
+			row.Modes = append(row.Modes, DevCrossMode{Mode: m, Speedup: sp})
+			if j == 0 || sp > best {
+				best = sp
+				row.Best = m
+			}
+		}
 	}
 	return &DevCrossResult{Rows: rows}, nil
 }

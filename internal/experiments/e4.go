@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/textplot"
@@ -55,55 +53,41 @@ type E4Result struct {
 	Rows []E4Row
 }
 
-// e4Job is one (workload kind, filler) validation point; the flattened
-// job list preserves the study's original row order.
-type e4Job struct {
-	kind   string
-	filler int
+// Points lists the study: the hash-map, string-compare and regex
+// workloads, in that order, at each filler distance.
+func (cfg E4Config) Points() []Point {
+	points := make([]Point, 0, 3*len(cfg.FillerCounts))
+	for _, filler := range cfg.FillerCounts {
+		points = append(points,
+			Point{Config: cfg.Core, Spec: workload.Spec{Kind: "kvstore", KVStore: &workload.KVStoreConfig{
+				Operations: cfg.Operations, FillerPerOp: filler,
+				Buckets: 256, Keys: 128, LookupPct: 70, KeyWords: 4, Seed: cfg.Seed,
+			}}},
+			Point{Config: cfg.Core, Spec: workload.Spec{Kind: "stringmatch", StringMatch: &workload.StringMatchConfig{
+				Comparisons: cfg.Operations, FillerPerOp: filler,
+				Dictionary: 32, MinWords: 4, MaxWords: 24, SharedPrefix: 3, Seed: cfg.Seed,
+			}}},
+			Point{Config: cfg.Core, Spec: workload.Spec{Kind: "regexmatch", RegexMatch: &workload.RegexMatchConfig{
+				Pattern: "[ab]*abb", Matches: cfg.Operations, FillerPerOp: filler,
+				Inputs: 32, MaxLen: 28, Seed: cfg.Seed,
+			}}})
+	}
+	return points
 }
 
-// E4 measures the three workloads across the frequency sweep, fanning
-// every (workload, frequency) pair out as its own job.
+// E4 measures the three workloads across the frequency sweep.
 func E4(cfg E4Config) (*E4Result, error) {
-	jobs := make([]e4Job, 0, 3*len(cfg.FillerCounts))
-	for _, filler := range cfg.FillerCounts {
-		jobs = append(jobs,
-			e4Job{"kvstore", filler}, e4Job{"stringmatch", filler}, e4Job{"regexmatch", filler})
-	}
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, jobs,
-		func(_ context.Context, _ int, job e4Job) (E4Row, error) {
-			var w *workload.Workload
-			var err error
-			switch job.kind {
-			case "kvstore":
-				w, err = workload.KVStore(workload.KVStoreConfig{
-					Operations: cfg.Operations, FillerPerOp: job.filler,
-					Buckets: 256, Keys: 128, LookupPct: 70, KeyWords: 4, Seed: cfg.Seed,
-				})
-			case "stringmatch":
-				w, err = workload.StringMatch(workload.StringMatchConfig{
-					Comparisons: cfg.Operations, FillerPerOp: job.filler,
-					Dictionary: 32, MinWords: 4, MaxWords: 24, SharedPrefix: 3, Seed: cfg.Seed,
-				})
-			case "regexmatch":
-				w, err = workload.RegexMatch(workload.RegexMatchConfig{
-					Pattern: "[ab]*abb", Matches: cfg.Operations, FillerPerOp: job.filler,
-					Inputs: 32, MaxLen: 28, Seed: cfg.Seed,
-				})
-			}
-			if err != nil {
-				return E4Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return E4Row{}, fmt.Errorf("experiments: E4 %s filler=%d: %w", job.kind, job.filler, err)
-			}
-			return E4Row{Workload: job.kind, Filler: job.filler, Result: res}, nil
-		})
+	points := cfg.Points()
+	res, _, err := sweep(cfg.Store, cfg.Parallel, cfg.Parallel, points, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &E4Result{Rows: rows}, nil
+	out := &E4Result{}
+	for i, p := range points {
+		filler := cfg.FillerCounts[i/3] // three workloads per filler distance
+		out.Rows = append(out.Rows, E4Row{Workload: p.Spec.Kind, Filler: filler, Result: res[i]})
+	}
+	return out, nil
 }
 
 // Render tabulates measured vs estimated speedups per mode.

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/textplot"
@@ -52,29 +50,31 @@ type E5Result struct {
 	Rows []E5Row
 }
 
-// E5 measures the multi-TCA workload across invocation frequencies, one
-// job per frequency point.
+// Points lists the study: the GreenDroid multi-TCA workload at each
+// filler distance.
+func (cfg E5Config) Points() []Point {
+	points := make([]Point, len(cfg.FillerCounts))
+	for i, filler := range cfg.FillerCounts {
+		mc := workload.DefaultMultiTCA()
+		mc.Calls = cfg.Calls
+		mc.FillerPerCall = filler
+		mc.Seed = cfg.Seed
+		points[i] = Point{Config: cfg.Core, Spec: workload.Spec{Kind: "multitca", MultiTCA: &mc}}
+	}
+	return points
+}
+
+// E5 measures the multi-TCA workload across invocation frequencies.
 func E5(cfg E5Config) (*E5Result, error) {
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.FillerCounts,
-		func(_ context.Context, _, filler int) (E5Row, error) {
-			mc := workload.DefaultMultiTCA()
-			mc.Calls = cfg.Calls
-			mc.FillerPerCall = filler
-			mc.Seed = cfg.Seed
-			w, err := workload.MultiTCA(mc)
-			if err != nil {
-				return E5Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return E5Row{}, fmt.Errorf("experiments: E5 filler=%d: %w", filler, err)
-			}
-			return E5Row{Filler: filler, Result: res}, nil
-		})
+	res, _, err := sweep(cfg.Store, cfg.Parallel, cfg.Parallel, cfg.Points(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return &E5Result{Rows: rows}, nil
+	out := &E5Result{}
+	for i, filler := range cfg.FillerCounts {
+		out.Rows = append(out.Rows, E5Row{Filler: filler, Result: res[i]})
+	}
+	return out, nil
 }
 
 // Render tabulates measured vs estimated speedups per mode.

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/staticmodel"
 	"repro/internal/textplot"
 	"repro/internal/workload"
 )
@@ -69,82 +66,38 @@ type Fig4Result struct {
 	Prune *PruneReport
 }
 
-// fig4Workload builds sweep point i (region count n).
-func fig4Workload(cfg Fig4Config, i, n int) (*workload.Workload, error) {
-	return workload.Synthetic(workload.SyntheticConfig{
-		Units:        cfg.Units,
-		UnitLen:      cfg.UnitLen,
-		Regions:      n,
-		RegionLen:    cfg.RegionLen,
-		AccelLatency: cfg.AccelLatency,
-		Seed:         cfg.Seed + int64(i), // vary placement per instance
-	})
+// Points lists the sweep: one synthetic workload per region count, its
+// placement seed varied per instance.
+func (cfg Fig4Config) Points() []Point {
+	points := make([]Point, len(cfg.RegionCounts))
+	for i, n := range cfg.RegionCounts {
+		points[i] = Point{Config: cfg.Core, Spec: workload.Spec{Kind: "synthetic", Synthetic: &workload.SyntheticConfig{
+			Units:        cfg.Units,
+			UnitLen:      cfg.UnitLen,
+			Regions:      n,
+			RegionLen:    cfg.RegionLen,
+			AccelLatency: cfg.AccelLatency,
+			Seed:         cfg.Seed + int64(i),
+		}}}
+	}
+	return points
 }
 
-// Fig4 generates the sweep workloads, validates the model against the
-// simulator on each, and reports per-mode errors. Sweep points fan out
-// across cfg.Parallel workers; each builds its own workload instance.
-// With cfg.Prune set, a static pre-pass ranks all points first and only
-// the selected frontier is simulated.
+// Fig4 validates the model against the simulator on every sweep point
+// and reports per-mode errors. With cfg.Prune set, a static pre-pass
+// ranks all points first and only the selected frontier is simulated.
 func Fig4(cfg Fig4Config) (*Fig4Result, error) {
-	if cfg.Prune != nil {
-		return fig4Pruned(cfg)
-	}
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.RegionCounts,
-		func(_ context.Context, i, n int) (Fig4Row, error) {
-			w, err := fig4Workload(cfg, i, n)
-			if err != nil {
-				return Fig4Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return Fig4Row{}, err
-			}
-			return Fig4Row{AccelInstructions: n, Result: res}, nil
-		})
+	res, rep, err := sweep(cfg.Store, cfg.Parallel, cfg.Parallel, cfg.Points(), cfg.Prune)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig4Result{Rows: rows}, nil
-}
-
-// fig4Pruned is the two-phase path: phase A statically ranks every
-// point (microseconds each), phase B cycle-simulates only the kept
-// frontier. Workloads are rebuilt in phase B rather than retained so
-// the pre-pass memory footprint stays flat across huge sweeps.
-func fig4Pruned(cfg Fig4Config) (*Fig4Result, error) {
-	preds, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.RegionCounts,
-		func(_ context.Context, i, n int) (*staticmodel.Prediction, error) {
-			w, err := fig4Workload(cfg, i, n)
-			if err != nil {
-				return nil, err
-			}
-			return StaticPredictWorkloadStore(cfg.Store, cfg.Core, w)
-		})
-	if err != nil {
-		return nil, err
+	out := &Fig4Result{Prune: rep}
+	for i, n := range cfg.RegionCounts {
+		if res[i] != nil {
+			out.Rows = append(out.Rows, Fig4Row{AccelInstructions: n, Result: res[i]})
+		}
 	}
-	rep, err := cfg.Prune.selectPoints(preds)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, rep.Kept,
-		func(_ context.Context, _, idx int) (Fig4Row, error) {
-			n := cfg.RegionCounts[idx]
-			w, err := fig4Workload(cfg, idx, n)
-			if err != nil {
-				return Fig4Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return Fig4Row{}, err
-			}
-			return Fig4Row{AccelInstructions: n, Result: res}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig4Result{Rows: rows, Prune: rep}, nil
+	return out, nil
 }
 
 // Chart plots |error| per mode against the accelerator-instruction count.

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/staticmodel"
 	"repro/internal/textplot"
 	"repro/internal/workload"
 )
@@ -64,77 +61,36 @@ type Fig5Result struct {
 	Prune *PruneReport
 }
 
-// fig5Workload builds the sweep point with the given filler distance.
-func fig5Workload(cfg Fig5Config, filler int) (*workload.Workload, error) {
-	return workload.Heap(workload.HeapConfig{
-		Operations:    cfg.Operations,
-		FillerPerCall: filler,
-		Prefill:       cfg.Prefill,
-		Seed:          cfg.Seed,
-		WarmupFiller:  cfg.WarmupFiller,
-	})
+// Points lists the sweep: one heap workload per filler distance.
+func (cfg Fig5Config) Points() []Point {
+	points := make([]Point, len(cfg.FillerCounts))
+	for i, filler := range cfg.FillerCounts {
+		points[i] = Point{Config: cfg.Core, Spec: workload.Spec{Kind: "heap", Heap: &workload.HeapConfig{
+			Operations:    cfg.Operations,
+			FillerPerCall: filler,
+			Prefill:       cfg.Prefill,
+			Seed:          cfg.Seed,
+			WarmupFiller:  cfg.WarmupFiller,
+		}}}
+	}
+	return points
 }
 
-// Fig5 runs the heap-manager study, fanning the frequency sweep across
-// cfg.Parallel workers. With cfg.Prune set, a static pre-pass ranks all
-// points first and only the selected frontier is simulated.
+// Fig5 runs the heap-manager study over the frequency sweep. With
+// cfg.Prune set, a static pre-pass ranks all points first and only the
+// selected frontier is simulated.
 func Fig5(cfg Fig5Config) (*Fig5Result, error) {
-	if cfg.Prune != nil {
-		return fig5Pruned(cfg)
-	}
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.FillerCounts,
-		func(_ context.Context, _, filler int) (Fig5Row, error) {
-			w, err := fig5Workload(cfg, filler)
-			if err != nil {
-				return Fig5Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return Fig5Row{}, err
-			}
-			return Fig5Row{FillerPerCall: filler, Result: res}, nil
-		})
+	res, rep, err := sweep(cfg.Store, cfg.Parallel, cfg.Parallel, cfg.Points(), cfg.Prune)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig5Result{Rows: rows}, nil
-}
-
-// fig5Pruned mirrors fig4Pruned: static ranking pass, then simulation
-// of the kept frontier only.
-func fig5Pruned(cfg Fig5Config) (*Fig5Result, error) {
-	preds, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.FillerCounts,
-		func(_ context.Context, _, filler int) (*staticmodel.Prediction, error) {
-			w, err := fig5Workload(cfg, filler)
-			if err != nil {
-				return nil, err
-			}
-			return StaticPredictWorkloadStore(cfg.Store, cfg.Core, w)
-		})
-	if err != nil {
-		return nil, err
+	out := &Fig5Result{Prune: rep}
+	for i, filler := range cfg.FillerCounts {
+		if res[i] != nil {
+			out.Rows = append(out.Rows, Fig5Row{FillerPerCall: filler, Result: res[i]})
+		}
 	}
-	rep, err := cfg.Prune.selectPoints(preds)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, rep.Kept,
-		func(_ context.Context, _, idx int) (Fig5Row, error) {
-			filler := cfg.FillerCounts[idx]
-			w, err := fig5Workload(cfg, filler)
-			if err != nil {
-				return Fig5Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return Fig5Row{}, err
-			}
-			return Fig5Row{FillerPerCall: filler, Result: res}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig5Result{Rows: rows, Prune: rep}, nil
+	return out, nil
 }
 
 // panel builds one chart over invocation frequency.

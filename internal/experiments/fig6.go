@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/textplot"
@@ -52,26 +50,28 @@ type Fig6Result struct {
 	Rows   []Fig6Row
 }
 
-// Fig6 runs the DGEMM validation for each tile size, one worker per tile.
+// Points lists the study: one DGEMM workload per accelerator tile.
+func (cfg Fig6Config) Points() []Point {
+	points := make([]Point, len(cfg.Tiles))
+	for i, tile := range cfg.Tiles {
+		points[i] = Point{Config: cfg.Core, Spec: workload.Spec{Kind: "matmul", MatMul: &workload.MatMulConfig{
+			N: cfg.N, Block: cfg.Block, Tile: tile, Seed: cfg.Seed,
+		}}}
+	}
+	return points
+}
+
+// Fig6 runs the DGEMM validation for each tile size.
 func Fig6(cfg Fig6Config) (*Fig6Result, error) {
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.Tiles,
-		func(_ context.Context, _, tile int) (Fig6Row, error) {
-			w, err := workload.MatMul(workload.MatMulConfig{
-				N: cfg.N, Block: cfg.Block, Tile: tile, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return Fig6Row{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return Fig6Row{}, err
-			}
-			return Fig6Row{Tile: tile, Result: res}, nil
-		})
+	res, _, err := sweep(cfg.Store, cfg.Parallel, cfg.Parallel, cfg.Points(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig6Result{Config: cfg, Rows: rows}, nil
+	out := &Fig6Result{Config: cfg}
+	for i, tile := range cfg.Tiles {
+		out.Rows = append(out.Rows, Fig6Row{Tile: tile, Result: res[i]})
+	}
+	return out, nil
 }
 
 // Chart plots measured and estimated speedup per (tile, mode) on a log-y

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/textplot"
@@ -64,44 +62,41 @@ type Fig7SimResult struct {
 	Points []Fig7SimPoint
 }
 
-// Fig7Sim builds a synthetic workload per operating point and compares the
-// simulated NL_NT outcome against the model's sign prediction — a spot
-// check that the heatmap's red/blue boundary is real, not a model
-// artifact.
+// Fig7Sim simulates a synthetic workload per operating point and
+// compares the simulated NL_NT outcome against the model's sign
+// prediction — a spot check that the heatmap's red/blue boundary is
+// real, not a model artifact.
 func Fig7Sim(cfg Fig7SimConfig) (*Fig7SimResult, error) {
-	pts, _, err := runner.Map(context.Background(), cfg.Parallel, cfg.Points,
-		func(_ context.Context, i int, pt struct{ Granularity, AccelLatency int }) (Fig7SimPoint, error) {
-			w, err := workload.Synthetic(workload.SyntheticConfig{
-				Units:        300,
-				UnitLen:      25,
-				Regions:      60,
-				RegionLen:    pt.Granularity,
-				AccelLatency: pt.AccelLatency,
-				Seed:         cfg.Seed + int64(i),
-			})
-			if err != nil {
-				return Fig7SimPoint{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, cfg.Core, w, cfg.Parallel)
-			if err != nil {
-				return Fig7SimPoint{}, err
-			}
-			mm := res.Mode(accel.NLNT)
-			const band = 0.02 // treat ±2% as "at the boundary": either sign accepted
-			agrees := (mm.ModelSpeedup >= 1-band && mm.SimSpeedup >= 1-band) ||
-				(mm.ModelSpeedup <= 1+band && mm.SimSpeedup <= 1+band)
-			return Fig7SimPoint{
-				Granularity:  pt.Granularity,
-				AccelLatency: pt.AccelLatency,
-				ModelSpeedup: mm.ModelSpeedup,
-				SimSpeedup:   mm.SimSpeedup,
-				SignAgrees:   agrees,
-			}, nil
-		})
+	points := make([]Point, len(cfg.Points))
+	for i, pt := range cfg.Points {
+		points[i] = Point{Config: cfg.Core, Spec: workload.Spec{Kind: "synthetic", Synthetic: &workload.SyntheticConfig{
+			Units:        300,
+			UnitLen:      25,
+			Regions:      60,
+			RegionLen:    pt.Granularity,
+			AccelLatency: pt.AccelLatency,
+			Seed:         cfg.Seed + int64(i),
+		}}}
+	}
+	res, _, err := sweep(cfg.Store, cfg.Parallel, cfg.Parallel, points, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig7SimResult{Points: pts}, nil
+	out := &Fig7SimResult{}
+	for i, pt := range cfg.Points {
+		mm := res[i].Mode(accel.NLNT)
+		const band = 0.02 // treat ±2% as "at the boundary": either sign accepted
+		agrees := (mm.ModelSpeedup >= 1-band && mm.SimSpeedup >= 1-band) ||
+			(mm.ModelSpeedup <= 1+band && mm.SimSpeedup <= 1+band)
+		out.Points = append(out.Points, Fig7SimPoint{
+			Granularity:  pt.Granularity,
+			AccelLatency: pt.AccelLatency,
+			ModelSpeedup: mm.ModelSpeedup,
+			SimSpeedup:   mm.SimSpeedup,
+			SignAgrees:   agrees,
+		})
+	}
+	return out, nil
 }
 
 // Render tabulates the check.

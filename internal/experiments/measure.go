@@ -10,8 +10,12 @@
 //	Fig. 8 — speedup vs. coverage for a 100-instruction A=2 TCA
 //
 // Each figure function returns typed rows/series that render to an ASCII
-// chart and CSV, so `cmd/figures` can regenerate the paper's artifacts in
-// one run.
+// chart and CSV. Sections is the whole artifact as one table (each
+// section's -fig IDs, title, -quick sizes and rendering), which
+// cmd/figures and the root benchmarks loop over. Every simulated
+// driver is a list of Points — a workload spec and a core config —
+// measured by one shared sweep, which also runs the optional static
+// pre-pass.
 //
 // Every simulation a driver issues goes through a scenario.Spec and an
 // optional scenario.Store, so identical runs are described identically,
@@ -34,8 +38,10 @@ import (
 	"repro/internal/workload"
 )
 
-// maxCycles bounds every simulation in the harness.
-const maxCycles = 4_000_000_000
+// MaxCycles bounds every simulation in the harness. It is part of every
+// run and measure digest, so scenariod serves with the same bound
+// (serve.DefaultMaxCycles) and its results match local sweeps.
+const MaxCycles = 4_000_000_000
 
 // ModeMeasurement is one (workload, mode) comparison of the simulator
 // against the model. It is the scenario layer's ModeResult: the record
@@ -95,31 +101,26 @@ type measureRun struct {
 // simulate the baseline, calibrate the model from it via interval
 // analysis, simulate the accelerated program in all four modes, and
 // compare speedups. The five simulations fan out across GOMAXPROCS
-// workers; use MeasureWorkloadParallel to control the width.
+// workers; MeasureWorkloadStore sets the width.
 func MeasureWorkload(cfg sim.Config, w *workload.Workload) (*WorkloadResult, error) {
 	return MeasureWorkloadStore(nil, cfg, w, 0)
 }
 
-// MeasureWorkloadParallel is MeasureWorkload with an explicit worker
-// count (<= 0 selects GOMAXPROCS, 1 forces the serial path).
-func MeasureWorkloadParallel(cfg sim.Config, w *workload.Workload, parallel int) (*WorkloadResult, error) {
-	return MeasureWorkloadStore(nil, cfg, w, parallel)
-}
-
 // MeasureWorkloadStore is the primary entry point: MeasureWorkload
-// through a scenario store. The whole measurement caches as one record
-// keyed by the canonical (config, workload) digest; on a measure-level
-// miss the five constituent runs — baseline plus four modes — go
-// through the store's run-level cache individually, so a baseline
-// shared between sweeps still executes only once. A nil store executes
-// everything directly. Any store state and any worker count produce
-// bit-identical results: the five runs are independent, each building
-// its own core, memory image, and device.
+// through a scenario store, its five runs parallel wide (<= 0 selects
+// GOMAXPROCS, 1 forces the serial path). The whole measurement caches
+// as one record keyed by the canonical (config, workload) digest; on a
+// measure-level miss the five constituent runs — baseline plus four
+// modes — go through the store's run-level cache individually, so a
+// baseline shared between sweeps still executes only once. A nil store
+// executes everything directly. Any store state and any worker count
+// produce bit-identical results: the five runs are independent, each
+// building its own core, memory image, and device.
 func MeasureWorkloadStore(store *scenario.Store, cfg sim.Config, w *workload.Workload, parallel int) (*WorkloadResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	spec := scenario.MeasureSpec{Config: cfg, Workload: w, MaxCycles: maxCycles}
+	spec := scenario.MeasureSpec{Config: cfg, Workload: w, MaxCycles: MaxCycles}
 	rec, err := store.Measure(spec, func() (scenario.MeasureRecord, error) {
 		return measureCompute(store, cfg, w, parallel)
 	})
@@ -146,7 +147,7 @@ func measureCompute(store *scenario.Store, cfg sim.Config, w *workload.Workload,
 				stats, err := store.RunStats(scenario.Spec{
 					Config:    cfg,
 					Program:   w.Baseline,
-					MaxCycles: maxCycles,
+					MaxCycles: MaxCycles,
 				})
 				if err != nil {
 					return measureRun{}, fmt.Errorf("experiments: %s baseline: %w", w.Name, err)
@@ -163,7 +164,7 @@ func measureCompute(store *scenario.Store, cfg sim.Config, w *workload.Workload,
 				Program:   w.Accelerated,
 				NewDevice: w.NewDevice,
 				DeviceKey: w.DeviceKey,
-				MaxCycles: maxCycles,
+				MaxCycles: MaxCycles,
 			})
 			if err != nil {
 				return measureRun{}, fmt.Errorf("experiments: %s %s: %w", w.Name, m, err)

@@ -105,7 +105,7 @@ func E3(cfg E3Config) (*E3Result, error) {
 			Program:   prog,
 			NewDevice: e3Device,
 			DeviceKey: e3DeviceKey,
-			MaxCycles: maxCycles,
+			MaxCycles: MaxCycles,
 		})
 	}
 	policies := []struct {

@@ -64,7 +64,7 @@ func StaticPredictWorkloadStore(store *scenario.Store, cfg sim.Config, w *worklo
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	spec := scenario.MeasureSpec{Config: cfg, Workload: w, MaxCycles: maxCycles}
+	spec := scenario.MeasureSpec{Config: cfg, Workload: w, MaxCycles: MaxCycles}
 	return store.StaticPrediction(spec, func() (*staticmodel.Prediction, error) {
 		m := StaticMachine(cfg)
 		if w.AccelLatency > 0 {

@@ -190,12 +190,8 @@ func TestStaticErrAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultStaticErr()
-	cfg.Store = store
-	cfg.Fig4.RegionCounts = []int{5, 40, 320}
-	cfg.Fig5.Operations = 200
-	cfg.Fig5.FillerCounts = []int{0, 20, 160}
-	res, err := StaticErr(cfg)
+	quick := Options{Quick: true}
+	res, err := StaticErr(StaticErrConfig{Fig4: quick.Fig4(), Fig5: quick.Fig5(), Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/staticmodel"
 	"repro/internal/textplot"
-	"repro/internal/workload"
 )
 
 // StaticErrConfig parameterizes the static-vs-simulated accuracy study:
@@ -28,11 +24,6 @@ type StaticErrConfig struct {
 	Parallel int
 	// Store optionally caches both tiers; nil computes directly.
 	Store *scenario.Store
-}
-
-// DefaultStaticErr covers the default Fig4 and Fig5 sweeps.
-func DefaultStaticErr() StaticErrConfig {
-	return StaticErrConfig{Fig4: DefaultFig4(), Fig5: DefaultFig5()}
 }
 
 // StaticErrMode is one (point, mode) comparison.
@@ -63,57 +54,30 @@ type StaticErrResult struct {
 	Rows []StaticErrRow
 }
 
-// staticErrPoint pairs a point label with its workload builder.
-type staticErrPoint struct {
-	name  string
-	build func() (*workload.Workload, error)
-}
-
-// StaticErr runs the study: both sweeps' points through both tiers.
+// StaticErr runs the study: both sweeps' points through both tiers,
+// each point on its own sweep's core.
 func StaticErr(cfg StaticErrConfig) (*StaticErrResult, error) {
-	points := make([]staticErrPoint, 0, len(cfg.Fig4.RegionCounts)+len(cfg.Fig5.FillerCounts))
-	for i, n := range cfg.Fig4.RegionCounts {
-		i, n := i, n
-		points = append(points, staticErrPoint{
-			name:  fmt.Sprintf("synthetic/%d", n),
-			build: func() (*workload.Workload, error) { return fig4Workload(cfg.Fig4, i, n) },
-		})
+	points := append(cfg.Fig4.Points(), cfg.Fig5.Points()...)
+	names := make([]string, 0, len(points))
+	for _, n := range cfg.Fig4.RegionCounts {
+		names = append(names, fmt.Sprintf("synthetic/%d", n))
 	}
 	for _, filler := range cfg.Fig5.FillerCounts {
-		filler := filler
-		points = append(points, staticErrPoint{
-			name:  fmt.Sprintf("heap/%d", filler),
-			build: func() (*workload.Workload, error) { return fig5Workload(cfg.Fig5, filler) },
-		})
+		names = append(names, fmt.Sprintf("heap/%d", filler))
 	}
-	core := func(name string) sim.Config {
-		if strings.HasPrefix(name, "heap/") {
-			return cfg.Fig5.Core
-		}
-		return cfg.Fig4.Core
-	}
-
-	rows, _, err := runner.Map(context.Background(), cfg.Parallel, points,
-		func(_ context.Context, _ int, pt staticErrPoint) (StaticErrRow, error) {
-			w, err := pt.build()
-			if err != nil {
-				return StaticErrRow{}, err
-			}
-			c := core(pt.name)
-			pred, err := StaticPredictWorkloadStore(cfg.Store, c, w)
-			if err != nil {
-				return StaticErrRow{}, err
-			}
-			res, err := MeasureWorkloadStore(cfg.Store, c, w, 1)
-			if err != nil {
-				return StaticErrRow{}, err
-			}
-			return staticErrRow(pt.name, pred, res), nil
-		})
+	preds, err := predict(cfg.Store, cfg.Parallel, points)
 	if err != nil {
 		return nil, err
 	}
-	return &StaticErrResult{Rows: rows}, nil
+	res, _, err := sweep(cfg.Store, cfg.Parallel, 1, points, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := &StaticErrResult{}
+	for i, name := range names {
+		out.Rows = append(out.Rows, staticErrRow(name, preds[i], res[i]))
+	}
+	return out, nil
 }
 
 // staticErrRow compares one point's two tiers.

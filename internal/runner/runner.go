@@ -16,8 +16,8 @@
 //   - the first error (lowest job index) wins deterministically, and the
 //     shared context is cancelled promptly so in-flight siblings can stop.
 //
-// The per-job wall-clock lands in a Report for observability: cmd/figures
-// prints it to stderr so stdout artifacts stay byte-stable.
+// Map also returns a Report of per-job wall-clock times. No caller reads
+// it today; host timing stays in this package, off the artifacts.
 package runner
 
 import (

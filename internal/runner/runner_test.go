@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,23 +167,48 @@ func TestParallelism(t *testing.T) {
 	}
 }
 
-// TestReport checks the observability surface.
+// TestReport checks the observability surface. Map guarantees one
+// timing per job in input order, each at least its job's sleep, and a
+// wall at least the slowest job; which job measures slowest depends on
+// scheduling, so the summaries are checked on fixed timings instead.
 func TestReport(t *testing.T) {
-	_, rep, err := Map(context.Background(), 2, []int{0, 1, 2},
-		func(_ context.Context, i, _ int) (int, error) {
-			time.Sleep(time.Duration(i+1) * 5 * time.Millisecond)
+	sleeps := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 15 * time.Millisecond}
+	_, rep, err := Map(context.Background(), 2, sleeps,
+		func(_ context.Context, _ int, d time.Duration) (int, error) {
+			time.Sleep(d)
 			return 0, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Work() < rep.Slowest().Elapsed {
-		t.Errorf("work %v < slowest %v", rep.Work(), rep.Slowest().Elapsed)
+	if len(rep.Jobs) != len(sleeps) {
+		t.Fatalf("%d job timings, want %d", len(rep.Jobs), len(sleeps))
 	}
-	if rep.Slowest().Index != 2 {
-		t.Errorf("slowest job = #%d, want #2", rep.Slowest().Index)
+	for i, j := range rep.Jobs {
+		if j.Index != i {
+			t.Errorf("timing %d has index %d", i, j.Index)
+		}
+		if j.Elapsed < sleeps[i] {
+			t.Errorf("job %d elapsed %v, below its %v sleep", i, j.Elapsed, sleeps[i])
+		}
 	}
-	if s := rep.String(); !strings.Contains(s, "3 jobs on 2 workers") {
-		t.Errorf("report string %q missing summary", s)
+	if rep.Wall < rep.Slowest().Elapsed {
+		t.Errorf("wall %v < slowest job %v", rep.Wall, rep.Slowest().Elapsed)
+	}
+
+	ms := time.Millisecond
+	fixed := &Report{Parallel: 2, Wall: 20 * ms, Jobs: []JobTiming{{0, 5 * ms}, {1, 15 * ms}, {2, 10 * ms}}}
+	if s := fixed.Slowest(); s != (JobTiming{1, 15 * ms}) {
+		t.Errorf("slowest = %+v, want job #1 at 15ms", s)
+	}
+	if w := fixed.Work(); w != 30*ms {
+		t.Errorf("work = %v, want 30ms", w)
+	}
+	if o := fixed.Overlap(); o != 1.5 {
+		t.Errorf("overlap = %v, want 1.5", o)
+	}
+	want := "3 jobs on 2 workers: wall 20ms, work 30ms (1.5x overlap), slowest job #1 15ms"
+	if s := fixed.String(); s != want {
+		t.Errorf("report string %q, want %q", s, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // The differential suite pins the service layer's core guarantee:
@@ -16,53 +15,34 @@ import (
 // and cache however it likes — the bytes that reach the figure files
 // must not move.
 
-// quickFig4 is cmd/figures' -quick Fig 4 sweep.
-func quickFig4() experiments.Fig4Config {
-	cfg := experiments.DefaultFig4()
-	cfg.RegionCounts = []int{5, 40, 320}
-	cfg.Parallel = 1
-	return cfg
-}
+// quick are cmd/figures' -quick sizes, run serially without a store:
+// the -no-cache path.
+var quick = experiments.Options{Quick: true, Parallel: 1}
 
-// quickFig5 is cmd/figures' -quick Fig 5 sweep.
-func quickFig5() experiments.Fig5Config {
-	cfg := experiments.DefaultFig5()
-	cfg.Operations = 200
-	cfg.FillerCounts = []int{0, 20, 160}
-	cfg.Parallel = 1
-	return cfg
+// measureRemote measures each point through a loopback daemon.
+func measureRemote(t *testing.T, points []experiments.Point) []*experiments.WorkloadResult {
+	t.Helper()
+	_, cl := startDaemon(t, serve.Options{Workers: 2})
+	var out []*experiments.WorkloadResult
+	for i, p := range points {
+		resp, err := cl.Measure(context.Background(), serve.MeasureRequest{Config: p.Config, Workload: p.Spec})
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		out = append(out, &experiments.WorkloadResult{MeasureRecord: resp.Record})
+	}
+	return out
 }
 
 func TestFig4ThroughDaemonByteIdentical(t *testing.T) {
-	cfg := quickFig4()
-	local, err := experiments.Fig4(cfg) // Store nil: the -no-cache path
+	cfg := quick.Fig4()
+	local, err := experiments.Fig4(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	_, cl := startDaemon(t, serve.Options{Workers: 2})
-	ctx := context.Background()
 	remote := &experiments.Fig4Result{}
-	for i, n := range cfg.RegionCounts {
-		wcfg := workload.SyntheticConfig{
-			Units:        cfg.Units,
-			UnitLen:      cfg.UnitLen,
-			Regions:      n,
-			RegionLen:    cfg.RegionLen,
-			AccelLatency: cfg.AccelLatency,
-			Seed:         cfg.Seed + int64(i),
-		}
-		resp, err := cl.Measure(ctx, serve.MeasureRequest{
-			Config:   cfg.Core,
-			Workload: serve.WorkloadSpec{Kind: "synthetic", Synthetic: &wcfg},
-		})
-		if err != nil {
-			t.Fatalf("point %d: %v", n, err)
-		}
-		remote.Rows = append(remote.Rows, experiments.Fig4Row{
-			AccelInstructions: n,
-			Result:            &experiments.WorkloadResult{MeasureRecord: resp.Record},
-		})
+	for i, res := range measureRemote(t, cfg.Points()) {
+		remote.Rows = append(remote.Rows, experiments.Fig4Row{AccelInstructions: cfg.RegionCounts[i], Result: res})
 	}
 
 	if got, want := remote.Render(), local.Render(); got != want {
@@ -74,34 +54,14 @@ func TestFig4ThroughDaemonByteIdentical(t *testing.T) {
 }
 
 func TestFig5ThroughDaemonByteIdentical(t *testing.T) {
-	cfg := quickFig5()
+	cfg := quick.Fig5()
 	local, err := experiments.Fig5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	_, cl := startDaemon(t, serve.Options{Workers: 2})
-	ctx := context.Background()
 	remote := &experiments.Fig5Result{}
-	for _, filler := range cfg.FillerCounts {
-		wcfg := workload.HeapConfig{
-			Operations:    cfg.Operations,
-			FillerPerCall: filler,
-			Prefill:       cfg.Prefill,
-			Seed:          cfg.Seed,
-			WarmupFiller:  cfg.WarmupFiller,
-		}
-		resp, err := cl.Measure(ctx, serve.MeasureRequest{
-			Config:   cfg.Core,
-			Workload: serve.WorkloadSpec{Kind: "heap", Heap: &wcfg},
-		})
-		if err != nil {
-			t.Fatalf("point %d: %v", filler, err)
-		}
-		remote.Rows = append(remote.Rows, experiments.Fig5Row{
-			FillerPerCall: filler,
-			Result:        &experiments.WorkloadResult{MeasureRecord: resp.Record},
-		})
+	for i, res := range measureRemote(t, cfg.Points()) {
+		remote.Rows = append(remote.Rows, experiments.Fig5Row{FillerPerCall: cfg.FillerCounts[i], Result: res})
 	}
 
 	if got, want := remote.Render(), local.Render(); got != want {

@@ -18,6 +18,7 @@
 package serve
 
 import (
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/staticmodel"
@@ -25,10 +26,10 @@ import (
 )
 
 // DefaultMaxCycles bounds a run when the request leaves MaxCycles
-// zero. It matches the bound the experiments harness uses for every
-// figure simulation, so daemon-served runs and locally-swept runs
-// digest identically.
-const DefaultMaxCycles = 4_000_000_000
+// zero. It is the bound the experiments harness uses for every figure
+// simulation, so daemon-served runs and locally-swept runs digest
+// identically.
+const DefaultMaxCycles = experiments.MaxCycles
 
 // WorkloadSpec is the wire form of a workload: a generator kind plus
 // its configuration, as listed by the workload.Spec registry.

@@ -69,6 +69,16 @@ echo "==> devcross byte-identity: cache off / cold / warm"
 cmp "$tmp/dev-off.txt" "$tmp/dev-cold.txt"
 cmp "$tmp/dev-cold.txt" "$tmp/dev-warm.txt"
 
+# The static-tier contract: the staticerr accuracy table (both tiers over
+# the Fig 4/5 point lists, static predictions cached beside the
+# measurements) is byte-identical with the cache off, cold, and warm.
+echo "==> staticerr byte-identity: cache off / cold / warm"
+"$tmp/figures" -fig staticerr -quick -parallel 8 -no-cache                >"$tmp/se-off.txt"
+"$tmp/figures" -fig staticerr -quick -parallel 8 -cache-dir "$tmp/seblobs" >"$tmp/se-cold.txt"
+"$tmp/figures" -fig staticerr -quick -parallel 1 -cache-dir "$tmp/seblobs" >"$tmp/se-warm.txt"
+cmp "$tmp/se-off.txt" "$tmp/se-cold.txt"
+cmp "$tmp/se-cold.txt" "$tmp/se-warm.txt"
+
 # The static-prune contract: the flag is opt-in, so a run with
 # -static-prune explicitly disabled must be byte-identical to a run
 # where the flag was never mentioned (the stock artifact above).
