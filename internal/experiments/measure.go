@@ -14,8 +14,9 @@
 // section's -fig IDs, title, -quick sizes and rendering), which
 // cmd/figures and the root benchmarks loop over. Every simulated
 // driver is a list of Points — a workload spec and a core config —
-// measured by one shared sweep, which also runs the optional static
-// pre-pass.
+// measured by one shared sweep through the store's recipe level, so a
+// point already stored is answered without building its workload. The
+// sweep also runs the optional static pre-pass.
 //
 // Every simulation a driver issues goes through a scenario.Spec and an
 // optional scenario.Store, so identical runs are described identically,
@@ -50,9 +51,11 @@ type ModeMeasurement = scenario.ModeResult
 
 // WorkloadResult is the full validation record for one workload on one
 // core configuration: the cacheable measurement plus the identity it
-// was measured under.
+// was measured under. Workload keeps the workload's counts, not its
+// programs, so a result costs the same whether its point was built or
+// answered from a stored recipe.
 type WorkloadResult struct {
-	Workload *workload.Workload
+	Workload workload.Counts
 	Config   sim.Config
 
 	scenario.MeasureRecord
@@ -106,9 +109,10 @@ func MeasureWorkload(cfg sim.Config, w *workload.Workload) (*WorkloadResult, err
 	return MeasureWorkloadStore(nil, cfg, w, 0)
 }
 
-// MeasureWorkloadStore is the primary entry point: MeasureWorkload
-// through a scenario store, its five runs parallel wide (<= 0 selects
-// GOMAXPROCS, 1 forces the serial path). The whole measurement caches
+// MeasureWorkloadStore is MeasureWorkload through a scenario store, for
+// callers that hold a built workload (the sweeps measure points through
+// the store's recipe level instead), its five runs parallel wide (<= 0
+// selects GOMAXPROCS, 1 forces the serial path). The whole measurement caches
 // as one record keyed by the canonical (config, workload) digest; on a
 // measure-level miss the five constituent runs — baseline plus four
 // modes — go through the store's run-level cache individually, so a
@@ -127,7 +131,7 @@ func MeasureWorkloadStore(store *scenario.Store, cfg sim.Config, w *workload.Wor
 	if err != nil {
 		return nil, err
 	}
-	return &WorkloadResult{Workload: w, Config: cfg, MeasureRecord: rec}, nil
+	return &WorkloadResult{Workload: w.Counts(), Config: cfg, MeasureRecord: rec}, nil
 }
 
 // measureCompute performs the actual five-run measurement and model

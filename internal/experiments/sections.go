@@ -47,6 +47,30 @@ func (o Options) Fig5() Fig5Config {
 	return cfg
 }
 
+// E4 is the E4 study these options select.
+func (o Options) E4() E4Config {
+	cfg := DefaultE4()
+	cfg.Parallel, cfg.Store = o.Parallel, o.Store
+	if o.Quick {
+		cfg.Operations = 200
+		cfg.FillerCounts = []int{5, 80}
+	}
+	return cfg
+}
+
+// DevCross is the device crossover study these options select.
+func (o Options) DevCross() DevCrossConfig {
+	cfg := DefaultDevCross()
+	cfg.Parallel, cfg.Store = o.Parallel, o.Store
+	if o.Quick {
+		cfg.DAE.Streams = 6
+		cfg.DAEWords = []int{4, 64}
+		cfg.Loop.Calls = 6
+		cfg.LoopTrips = []int{2, 8}
+	}
+	return cfg
+}
+
 // Output is what a section returns besides its text.
 type Output struct {
 	// CSV is the data for the section's CSV file.
@@ -214,13 +238,7 @@ var Sections = []Section{
 		}},
 	{IDs: []string{"e4"}, Title: "Extension E4 — hash-map and string-compare TCA validation (simulated)", InAll: true, CSV: "e4.csv",
 		Run: func(w io.Writer, o Options, _ string) (Output, error) {
-			cfg := DefaultE4()
-			cfg.Parallel, cfg.Store = o.Parallel, o.Store
-			if o.Quick {
-				cfg.Operations = 200
-				cfg.FillerCounts = []int{5, 80}
-			}
-			res, err := E4(cfg)
+			res, err := E4(o.E4())
 			if err != nil {
 				return Output{}, err
 			}
@@ -288,15 +306,7 @@ var Sections = []Section{
 		}},
 	{IDs: []string{"devcross"}, Title: "Device engine — DAE and loop-accelerator mode crossover (simulated)", CSV: "devcross.csv",
 		Run: func(w io.Writer, o Options, _ string) (Output, error) {
-			cfg := DefaultDevCross()
-			cfg.Parallel, cfg.Store = o.Parallel, o.Store
-			if o.Quick {
-				cfg.DAE.Streams = 6
-				cfg.DAEWords = []int{4, 64}
-				cfg.Loop.Calls = 6
-				cfg.LoopTrips = []int{2, 8}
-			}
-			res, err := DevCross(cfg)
+			res, err := DevCross(o.DevCross())
 			if err != nil {
 				return Output{}, err
 			}

@@ -229,3 +229,77 @@ func BenchmarkMeasureWorkloadWarm(b *testing.B) {
 		}
 	}
 }
+
+// TestWarmReplayBuildsNothing: the -quick Fig 4, Fig 5, E4 and DevCross
+// sweeps replayed by a fresh store over their filled directory are
+// answered from recipe and measure blobs alone, and equal the cold
+// results. With the recipe blobs deleted (a directory filled before the
+// recipe level existed) the replay still simulates nothing, and writes
+// the recipes back.
+func TestWarmReplayBuildsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated sweeps")
+	}
+	dir := t.TempDir()
+	replay := func() (*scenario.Store, []any) {
+		store, err := scenario.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{Store: store, Parallel: 2, Quick: true}
+		f4, err := Fig4(o.Fig4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f5, err := Fig5(o.Fig5())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e4, err := E4(o.E4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc, err := DevCross(o.DevCross())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, []any{f4, f5, e4, dc}
+	}
+	recipes := func() []string {
+		paths, err := filepath.Glob(filepath.Join(dir, "*", "recipe-*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+
+	coldStore, cold := replay()
+	points := coldStore.Metrics().RecipeMisses
+	if n := len(recipes()); points == 0 || int64(n) != points {
+		t.Fatalf("cold replay: %d recipe misses wrote %d recipe blobs", points, n)
+	}
+
+	warmStore, warm := replay()
+	if m := warmStore.Metrics(); m.RecipeMisses != 0 || m.MeasureMisses != 0 || m.RunMisses != 0 {
+		t.Errorf("warm replay missed: %v", m)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Error("warm replay results differ from the cold ones")
+	}
+
+	for _, p := range recipes() {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacyStore, legacy := replay()
+	if m := legacyStore.Metrics(); m.MeasureMisses != 0 || m.RunMisses != 0 || m.RecipeMisses != points {
+		t.Errorf("replay without recipes: %v, want 0 measure and run misses, %d recipe misses", m, points)
+	}
+	if n := len(recipes()); int64(n) != points {
+		t.Errorf("replay without recipes wrote %d recipe blobs back, want %d", n, points)
+	}
+	if !reflect.DeepEqual(cold, legacy) {
+		t.Error("replay without recipes differs from the cold results")
+	}
+}

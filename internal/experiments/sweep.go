@@ -18,11 +18,13 @@ type Point struct {
 	Config sim.Config
 }
 
-// sweep measures every point through the store and returns the
-// results in point order. Each job builds its own workload from the
-// spec, so a sweep holds at most one built workload per worker.
-// parallel jobs run at once and each measurement runs inner wide
-// (<= 0 selects GOMAXPROCS for either). With prune set, a static
+// sweep measures every point through the store's recipe level and
+// returns the results in point order. A point whose recipe and record
+// are stored builds nothing; any other job builds its workload from the
+// spec, so a sweep holds at most one built workload per worker, and its
+// results keep only the workloads' counts. parallel jobs run at once
+// and each measurement runs inner wide (<= 0 selects GOMAXPROCS for
+// either). With prune set, a static
 // pre-pass first ranks every point and only the kept frontier is
 // measured: the other results stay nil and the report says which
 // points were kept.
@@ -44,11 +46,14 @@ func sweep(store *scenario.Store, parallel, inner int, points []Point, prune *St
 	}
 	res, _, err := runner.Map(context.Background(), parallel, kept,
 		func(_ context.Context, _ int, p Point) (*WorkloadResult, error) {
-			w, err := p.Spec.Build()
+			r := scenario.Recipe{Spec: p.Spec, Config: p.Config, MaxCycles: MaxCycles}
+			rec, counts, err := store.MeasureRecipe(r, func(w *workload.Workload) (scenario.MeasureRecord, error) {
+				return measureCompute(store, p.Config, w, inner)
+			})
 			if err != nil {
 				return nil, err
 			}
-			return MeasureWorkloadStore(store, p.Config, w, inner)
+			return &WorkloadResult{Workload: counts, Config: p.Config, MeasureRecord: rec}, nil
 		})
 	if err != nil || rep == nil {
 		return res, nil, err

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -60,6 +61,10 @@ func parseExemptField(text string) (exemptField, bool) {
 type coverType struct {
 	named *types.Named
 	str   *types.Struct
+	// viaJSON marks a type a consumer hashes through encoding/json,
+	// which cannot see unexported fields: missingFields then holds
+	// those to account too.
+	viaJSON bool
 }
 
 // display renders the type as pkgbase.Name, the form diagnostics and
@@ -195,12 +200,19 @@ func namedOf(t types.Type) *types.Named {
 // recordReads walks a consumer body and marks every selector x.F where x
 // has one of the audited types. Selector chains are walked in full, so
 // c.Memory.DRAM.Latency covers Config.Memory, HierarchyConfig.DRAM and
-// DRAMConfig.Latency at once.
+// DRAMConfig.Latency at once. A value passed whole to json.Marshal reads
+// what encoding/json emits of it (see markJSON).
 func (c *coverage) recordReads(body ast.Node) {
 	if body == nil {
 		return
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 && c.isJSONMarshal(call) {
+			if tv, ok := c.pass.Pkg.Info.Types[call.Args[0]]; ok {
+				c.markJSON(tv.Type, map[*types.Named]bool{})
+			}
+			return true
+		}
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
@@ -216,6 +228,46 @@ func (c *coverage) recordReads(body ast.Node) {
 		}
 		return true
 	})
+}
+
+// isJSONMarshal reports whether call calls encoding/json.Marshal.
+func (c *coverage) isJSONMarshal(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := c.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" && fn.Name() == "Marshal"
+}
+
+// markJSON marks read every field encoding/json emits for a value of
+// type t, transitively through pointers, slices, arrays and map values:
+// exported and embedded fields not tagged `json:"-"`. The fields it
+// skips stay unread, and an audited type reached here is flagged
+// viaJSON so its unexported fields are reported too. A type with its
+// own MarshalJSON or MarshalText is not entered: that method decides
+// what reaches the bytes.
+func (c *coverage) markJSON(t types.Type, seen map[*types.Named]bool) {
+	named := structElem(t)
+	if named == nil || seen[named] || hasMethod(named, "MarshalJSON") || hasMethod(named, "MarshalText") {
+		return
+	}
+	seen[named] = true
+	ct := c.types[named]
+	if ct != nil {
+		ct.viaJSON = true
+	}
+	str := named.Underlying().(*types.Struct)
+	for i := 0; i < str.NumFields(); i++ {
+		f := str.Field(i)
+		if !f.Exported() && !f.Embedded() || reflect.StructTag(str.Tag(i)).Get("json") == "-" {
+			continue
+		}
+		if ct != nil {
+			c.reads[fieldKey(ct, f.Name())] = true
+		}
+		c.markJSON(f.Type(), seen)
+	}
 }
 
 // collectExemptions scans the given packages' comments for well-formed
@@ -321,15 +373,15 @@ func zeroLiteral(e ast.Expr) bool {
 	return false
 }
 
-// missingFields returns, for one audited type, its exported fields that
-// no consumer read and no erasure or exemption excuses, in declaration
-// order. skip filters additional fields (e.g. ones another check already
-// reported).
+// missingFields returns, for one audited type, its exported fields
+// (all fields of a viaJSON type) that no consumer read and no erasure or
+// exemption excuses, in declaration order. skip filters additional
+// fields (e.g. ones another check already reported).
 func (c *coverage) missingFields(ct *coverType, skip func(f *types.Var) bool) []string {
 	var missing []string
 	for i := 0; i < ct.str.NumFields(); i++ {
 		f := ct.str.Field(i)
-		if !f.Exported() {
+		if !f.Exported() && !ct.viaJSON {
 			continue
 		}
 		if skip != nil && skip(f) {

@@ -77,6 +77,8 @@ func TestRuleFixtures(t *testing.T) {
 		{name: "R8-in-scope", file: "r8.go", as: "internal/sim/fixture8"},
 		{name: "R8-out-of-scope", file: "r8.go", as: "internal/experiments/fixture8", ignores: true},
 		{name: "R8-spec-in-scope", file: "r8spec.go", as: "internal/scenario/fixturespec"},
+		{name: "R8-json-in-scope", file: "r8json.go", as: "internal/scenario/fixturejson"},
+		{name: "R8-json-clean", file: "r8jsonclean.go", as: "internal/scenario/fixturejsonclean"},
 		{name: "R8-renamed-encoder", file: "r8renamed.go", as: "internal/sim/fixturerenamed"},
 		{name: "R8R9-checkpoint-in-scope", file: "r8ckpt.go", as: "internal/sim/fixtureckpt"},
 		{name: "R8R9-checkpoint-out-of-scope", file: "r8ckpt.go", as: "internal/experiments/fixtureckpt", ignores: true},

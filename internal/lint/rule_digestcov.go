@@ -28,13 +28,15 @@ var digestAudits = []struct {
 	{"internal/isa", "", []string{"Memory"}},
 	{"internal/mem", "", []string{"CacheStats", "TLBStats", "DRAMStats"}},
 	{"internal/tcmalloc", "", []string{"Allocator"}},
-	{"internal/scenario", "encoder", []string{"Spec", "MeasureSpec"}},
+	{"internal/scenario", "encoder", []string{"Spec", "MeasureSpec", "Recipe"}},
 }
 
 // ruleDigestCov (R8) proves encoder exhaustiveness: every exported field
 // of an audit's roots — and of every module-internal struct reachable
 // through their fields — must be (a) read by a consumer (a checkpoint
-// walk, an encoder method, or a Digest method), (b) erased to a zero
+// walk, an encoder method, or a Digest method; a value a consumer passes
+// whole to json.Marshal reads what encoding/json emits of it, and its
+// unexported or `json:"-"` fields are then demanded), (b) erased to a zero
 // value in a Canonical method (the documented "cannot influence results"
 // list), or (c) named in a //lint:exempt-field R8 manifest directive with
 // a reason. A field whose type is another audit's root is a leaf: it
@@ -42,7 +44,7 @@ var digestAudits = []struct {
 var ruleDigestCov = &Rule{
 	ID:   "R8",
 	Name: "digest-field-coverage",
-	Doc:  "every field reachable from sim.Config / sim.Checkpoint / sim.Stats, isa.Memory, mem's cache/TLB/DRAM stats and tcmalloc.Allocator (checkpoint walks) and scenario.Spec / scenario.MeasureSpec (digest encoder) must reach its walk or encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
+	Doc:  "every field reachable from sim.Config / sim.Checkpoint / sim.Stats, isa.Memory, mem's cache/TLB/DRAM stats and tcmalloc.Allocator (checkpoint walks) and scenario.Spec / scenario.MeasureSpec / scenario.Recipe (digest encoder, json.Marshal of a whole value included) must reach its walk or encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
 	Applies: func(rel string) bool {
 		return underAny(rel, "internal/scenario", "internal/sim", "internal/isa", "internal/mem", "internal/tcmalloc")
 	},

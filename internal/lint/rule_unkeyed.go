@@ -7,8 +7,8 @@ import (
 )
 
 // canonicalSpecTypes are the structs whose field ORDER carries meaning
-// beyond the source: sim.Config and the scenario specs feed the
-// canonical digest encoder field by field, and every driver builds
+// beyond the source: sim.Config and the scenario specs and recipe feed
+// the canonical digest encoder field by field, and every driver builds
 // them. An unkeyed (positional) composite literal of one of these
 // silently reassigns values when a field is inserted — the compiler
 // stays happy while runs get mislabeled configurations and digests
@@ -18,6 +18,7 @@ var canonicalSpecTypes = []struct{ pkgSuffix, name, display string }{
 	{"internal/sim", "Config", "sim.Config"},
 	{"internal/scenario", "Spec", "scenario.Spec"},
 	{"internal/scenario", "MeasureSpec", "scenario.MeasureSpec"},
+	{"internal/scenario", "Recipe", "scenario.Recipe"},
 }
 
 // ruleUnkeyedSpec (R7) flags unkeyed composite literals of the
@@ -27,7 +28,7 @@ var canonicalSpecTypes = []struct{ pkgSuffix, name, display string }{
 var ruleUnkeyedSpec = &Rule{
 	ID:   "R7",
 	Name: "unkeyed-spec-literal",
-	Doc:  "sim.Config / scenario.Spec / scenario.MeasureSpec literals must use keyed fields; positional literals break silently when the canonical field set evolves",
+	Doc:  "sim.Config / scenario.Spec / scenario.MeasureSpec / scenario.Recipe literals must use keyed fields; positional literals break silently when the canonical field set evolves",
 	Applies: func(rel string) bool {
 		return true
 	},

@@ -5,6 +5,7 @@ package fixture7
 import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // positional literals of the canonical spec types rot silently when a
@@ -15,6 +16,7 @@ import (
 func unkeyed() {
 	_ = scenario.Spec{sim.Config{}, nil, nil, "", 0}       // want:R7
 	_ = scenario.MeasureSpec{sim.HighPerfConfig(), nil, 0} // want:R7
+	_ = scenario.Recipe{workload.Spec{}, sim.Config{}, 0}  // want:R7
 }
 
 // keyed literals are the sanctioned pattern.

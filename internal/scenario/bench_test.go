@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/accel"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -87,5 +90,43 @@ func BenchmarkProgramDigest(b *testing.B) {
 		e := newEncoder("program")
 		e.program(p)
 		_ = e.sum()
+	}
+}
+
+// BenchmarkMeasureRecipeWarmDisk is the restart path for one point: a
+// fresh store over a filled directory answers the heap registry default
+// on the HP core by reading its recipe blob and its measure blob, and
+// builds and hashes nothing. Its counterpart is BenchmarkWorkloadBuild
+// plus BenchmarkProgramDigest for the same point, which every warm
+// replay paid before the recipe level.
+func BenchmarkMeasureRecipeWarmDisk(b *testing.B) {
+	spec, err := workload.DefaultSpec("heap")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := Recipe{Spec: spec, Config: sim.HighPerfConfig(), MaxCycles: 4_000_000_000}
+	// The record's shape is a measurement's: one result per mode.
+	measure := func(*workload.Workload) (MeasureRecord, error) {
+		rec := MeasureRecord{BaselineCycles: 1}
+		for _, m := range accel.AllModes {
+			rec.Modes = append(rec.Modes, ModeResult{Mode: m, SimCycles: 1})
+		}
+		return rec, nil
+	}
+	dir := b.TempDir()
+	if _, _, err := newTestStore(b, dir).MeasureRecipe(r, measure); err != nil {
+		b.Fatal(err)
+	}
+	noBuild := func(workload.Spec) (*workload.Workload, error) {
+		return nil, errors.New("the warm point built its workload")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := newTestStore(b, dir)
+		s.build = noBuild
+		if _, _, err := s.MeasureRecipe(r, measure); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/staticmodel"
@@ -62,6 +63,15 @@ func TestCoalescedCounterClassification(t *testing.T) {
 				return err
 			},
 			func(m Metrics) (int64, int64, int64) { return m.StaticHits, m.StaticCoalesced, m.StaticMisses },
+		},
+		{
+			"recipe",
+			func(s *Store) error {
+				var calls atomic.Int64
+				_, _, err := s.MeasureRecipe(testRecipe(), recipeMeasure(s, &calls))
+				return err
+			},
+			func(m Metrics) (int64, int64, int64) { return m.RecipeHits, m.RecipeCoalesced, m.RecipeMisses },
 		},
 	}
 	for _, lv := range levels {

@@ -11,15 +11,17 @@ import (
 	"repro/internal/accel"
 	"repro/internal/sim"
 	"repro/internal/staticmodel"
+	"repro/internal/workload"
 )
 
 // Store is a concurrency-safe, content-addressed cache of simulation
-// results, keyed by canonical spec digests. It caches at two levels —
-// single runs (Spec → sim.Stats) and full measurements (MeasureSpec →
-// MeasureRecord) — in memory always, and in a directory of versioned
-// JSON blobs when one is configured. Identical specs requested
-// concurrently execute once (singleflight); everyone else blocks on
-// the first execution and shares its result.
+// results, keyed by canonical spec digests. It caches single runs
+// (Spec → sim.Stats), full measurements (MeasureSpec → MeasureRecord)
+// and recipes (Recipe → the measure digest its workload builds to) in
+// memory always, and in a directory of versioned JSON blobs when one is
+// configured. Identical specs requested concurrently execute once
+// (singleflight); everyone else blocks on the first execution and
+// shares its result.
 //
 // A nil *Store is valid and means "no caching": every method executes
 // the work directly, so callers never branch on cache availability.
@@ -27,7 +29,9 @@ import (
 // The disk layer is strictly best-effort and can only produce misses,
 // never wrong results or errors: a blob that is unreadable, corrupt,
 // from another scheme version, or digest-mismatched is ignored and the
-// run re-executes. Run errors are cached in memory for the process
+// run re-executes. The one error it raises is a stale recipe's, found
+// when its record is gone and the rebuilt workload digests differently
+// (see MeasureRecipe). Run errors are cached in memory for the process
 // lifetime (the spec is deterministic, so retrying cannot help) but
 // never written to disk.
 type Store struct {
@@ -36,6 +40,9 @@ type Store struct {
 
 	runs     level[sim.Stats]
 	measures level[MeasureRecord]
+	// recipes maps a sweep point's generator spec, core and cycle bound
+	// to the measure digest its workload builds to (see recipe.go).
+	recipes level[recipeValue]
 	// ckpts singleflights each warmup family's shared checkpoint. The
 	// value stays nil when the family is unforkable (negative-cached:
 	// the warmup probe runs once, later members skip straight to direct
@@ -47,6 +54,10 @@ type Store struct {
 
 	// Counters are atomics so Metrics can snapshot without a lock.
 	ckptForks, bytesRead, bytesWritten atomic.Int64
+
+	// build generates a recipe's workload; nil selects
+	// workload.Spec.Build. Tests substitute a counting builder.
+	build func(workload.Spec) (*workload.Workload, error)
 }
 
 // level is one singleflighted cache namespace: results by digest, plus
@@ -68,7 +79,9 @@ type entry[T any] struct {
 // get returns the result cached under d, producing it once: from load
 // (a disk hit) when it has the blob, else from compute (a miss), whose
 // successful result goes to save. load and save are nil on a
-// memory-only level.
+// memory-only level. A panic while producing the result is recorded as
+// the entry's error and re-raised: the panicking caller unwinds, every
+// later caller gets the error, and nothing is written.
 func (l *level[T]) get(d Digest, load func() (T, bool), compute func() (T, error), save func(T)) (T, error) {
 	l.mu.Lock()
 	if l.entries == nil {
@@ -90,6 +103,13 @@ func (l *level[T]) get(d Digest, load func() (T, bool), compute func() (T, error
 	ran := false
 	e.once.Do(func() {
 		ran = true
+		defer func() {
+			if p := recover(); p != nil {
+				e.err = fmt.Errorf("scenario: producing %s panicked: %v", d.Short(), p)
+				e.done.Store(true)
+				panic(p)
+			}
+		}()
 		if load != nil {
 			if v, ok := load(); ok {
 				e.val = v
@@ -159,6 +179,12 @@ func (s *Store) RunStats(spec Spec) (sim.Stats, error) {
 // constituent runs through s.RunStats, so run-level deduplication
 // applies even when the measure level misses.
 func (s *Store) Measure(spec MeasureSpec, compute func() (MeasureRecord, error)) (MeasureRecord, error) {
+	rec, err := s.measure(spec, compute)
+	return rec.Clone(), err
+}
+
+// measure is Measure without the defensive copy.
+func (s *Store) measure(spec MeasureSpec, compute func() (MeasureRecord, error)) (MeasureRecord, error) {
 	if s == nil {
 		return compute()
 	}
@@ -166,12 +192,15 @@ func (s *Store) Measure(spec MeasureSpec, compute func() (MeasureRecord, error))
 		s.measures.uncacheable.Add(1)
 		return compute()
 	}
-	d := spec.Digest()
-	rec, err := s.measures.get(d,
+	return s.measureAt(spec.Digest(), compute)
+}
+
+// measureAt returns the record cached under the measure digest d.
+func (s *Store) measureAt(d Digest, compute func() (MeasureRecord, error)) (MeasureRecord, error) {
+	return s.measures.get(d,
 		func() (MeasureRecord, bool) { return s.loadMeasureBlob(d) },
 		compute,
 		func(rec MeasureRecord) { s.saveMeasureBlob(d, rec) })
-	return rec.Clone(), err
 }
 
 // computeRun executes a cache-missed spec: through the warm-checkpoint
@@ -222,6 +251,9 @@ type Metrics struct {
 	RunHits, RunMisses, RunDiskHits, RunUncacheable, RunCoalesced int64
 	// Measure-level counters, same meaning.
 	MeasureHits, MeasureMisses, MeasureDiskHits, MeasureUncacheable, MeasureCoalesced int64
+	// Recipe-level counters, same meaning: a hit or disk hit answers a
+	// sweep point without building its workload, a miss builds it.
+	RecipeHits, RecipeMisses, RecipeDiskHits, RecipeCoalesced int64
 	// Checkpoint counters: Forks resumed from a shared warm snapshot,
 	// Warmups executed a warmup prefix to produce (or probe for) one,
 	// DiskHits loaded one from the blob directory.
@@ -249,6 +281,10 @@ func (s *Store) Metrics() Metrics {
 		MeasureDiskHits:    s.measures.diskHits.Load(),
 		MeasureUncacheable: s.measures.uncacheable.Load(),
 		MeasureCoalesced:   s.measures.coalesced.Load(),
+		RecipeHits:         s.recipes.hits.Load(),
+		RecipeMisses:       s.recipes.misses.Load(),
+		RecipeDiskHits:     s.recipes.diskHits.Load(),
+		RecipeCoalesced:    s.recipes.coalesced.Load(),
 		CkptForks:          s.ckptForks.Load(),
 		CkptWarmups:        s.ckpts.misses.Load(),
 		CkptDiskHits:       s.ckpts.diskHits.Load(),
@@ -263,8 +299,9 @@ func (s *Store) Metrics() Metrics {
 
 // DedupRatio is the fraction of cacheable requests served without
 // executing the simulator: (hits + coalesced + disk hits) / all
-// cacheable requests, across both levels. Zero when nothing was
-// requested.
+// cacheable requests, across the run and measure levels. Recipes are
+// left out: a recipe miss measures through the measure level, which
+// counts it already. Zero when nothing was requested.
 func (m Metrics) DedupRatio() float64 {
 	served := m.RunHits + m.RunCoalesced + m.RunDiskHits +
 		m.MeasureHits + m.MeasureCoalesced + m.MeasureDiskHits
@@ -290,6 +327,10 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 		MeasureDiskHits:    m.MeasureDiskHits - prev.MeasureDiskHits,
 		MeasureUncacheable: m.MeasureUncacheable - prev.MeasureUncacheable,
 		MeasureCoalesced:   m.MeasureCoalesced - prev.MeasureCoalesced,
+		RecipeHits:         m.RecipeHits - prev.RecipeHits,
+		RecipeMisses:       m.RecipeMisses - prev.RecipeMisses,
+		RecipeDiskHits:     m.RecipeDiskHits - prev.RecipeDiskHits,
+		RecipeCoalesced:    m.RecipeCoalesced - prev.RecipeCoalesced,
 		CkptForks:          m.CkptForks - prev.CkptForks,
 		CkptWarmups:        m.CkptWarmups - prev.CkptWarmups,
 		CkptDiskHits:       m.CkptDiskHits - prev.CkptDiskHits,
@@ -305,9 +346,10 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 // String renders the one-line report cmd/figures prints to stderr.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | measures %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | ckpt %d fork / %d warmup / %d disk | static %d hit / %d coalesced / %d miss / %d uncacheable | %d B read, %d B written | dedup %.1f%%",
+		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | measures %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | recipes %d hit / %d coalesced / %d disk / %d miss | ckpt %d fork / %d warmup / %d disk | static %d hit / %d coalesced / %d miss / %d uncacheable | %d B read, %d B written | dedup %.1f%%",
 		m.RunHits, m.RunCoalesced, m.RunDiskHits, m.RunMisses, m.RunUncacheable,
 		m.MeasureHits, m.MeasureCoalesced, m.MeasureDiskHits, m.MeasureMisses, m.MeasureUncacheable,
+		m.RecipeHits, m.RecipeCoalesced, m.RecipeDiskHits, m.RecipeMisses,
 		m.CkptForks, m.CkptWarmups, m.CkptDiskHits,
 		m.StaticHits, m.StaticCoalesced, m.StaticMisses, m.StaticUncacheable,
 		m.BytesRead, m.BytesWritten, 100*m.DedupRatio())
@@ -324,7 +366,8 @@ type diskBlob struct {
 	// Ckpt holds a sim.Checkpoint in its own binary wire format
 	// (base64 inside the JSON envelope); the checkpoint codec's magic
 	// and version header is verified again on decode.
-	Ckpt []byte `json:"ckpt,omitempty"`
+	Ckpt   []byte      `json:"ckpt,omitempty"`
+	Recipe *recipeBlob `json:"recipe,omitempty"`
 }
 
 // blobPath is the sharded location of one envelope: blobs spread over

@@ -3,11 +3,16 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -352,4 +357,108 @@ func TestMeasureErrorCachedInMemoryOnly(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("error run left %d files on disk, want none", len(entries))
 	}
+}
+
+// TestPanickingComputeRecordsError: a compute that panics must not leave
+// its entry looking complete with a zero value and no error. The
+// panicking caller unwinds; every later caller for the digest gets the
+// panic as an error, and nothing is saved.
+func TestPanickingComputeRecordsError(t *testing.T) {
+	var l level[int]
+	var d Digest
+	saved := 0
+	save := func(int) { saved++ }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panicking caller did not unwind")
+			}
+		}()
+		l.get(d, nil, func() (int, error) { panic("generator bug") }, save)
+	}()
+	v, err := l.get(d, nil, func() (int, error) { return 42, nil }, save)
+	if err == nil || !strings.Contains(err.Error(), "generator bug") {
+		t.Errorf("after a panicking compute: v=%d err=%v, want the panic as an error", v, err)
+	}
+	if saved != 0 {
+		t.Errorf("a panicking compute saved %d results", saved)
+	}
+}
+
+// FuzzLoadBlob feeds arbitrary bytes to the disk layer as the blob file
+// of every kind under one fixed digest, then loads each through the
+// store. The contract: every input is a miss or a well-formed value —
+// a measure record with one result per mode, a decoded checkpoint, a
+// recipe with possible counts — and never a panic or a hang. The seed
+// corpus is one real blob of each kind, re-addressed to the digest.
+func FuzzLoadBlob(f *testing.F) {
+	var d Digest
+	for i := range d {
+		d[i] = 0xab
+	}
+	for _, blob := range realBlobs(f, d) {
+		f.Add(blob)
+	}
+	f.Add([]byte(`{"scheme":3}`))
+	s := newTestStore(f, f.TempDir())
+	kinds := []string{"run", "measure", "ckpt", "recipe"}
+	for _, kind := range kinds {
+		if err := os.MkdirAll(filepath.Dir(s.blobPath(kind, d)), 0o755); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, kind := range kinds {
+			if err := os.WriteFile(s.blobPath(kind, d), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.loadRunBlob(d)
+		if rec, ok := s.loadMeasureBlob(d); ok && len(rec.Modes) != len(accel.AllModes) {
+			t.Errorf("measure hit with %d mode results", len(rec.Modes))
+		}
+		if ck, ok := s.loadCkptBlob(d); ok && ck == nil {
+			t.Error("checkpoint hit without a checkpoint")
+		}
+		if rv, ok := s.loadRecipeBlob(d); ok && rv.counts.Validate() != nil {
+			t.Errorf("recipe hit with impossible counts %+v", rv.counts)
+		}
+	})
+}
+
+// realBlobs fills a store with one blob of each kind — a forked run
+// writes a run and a checkpoint blob, a recipe a recipe and a measure
+// blob — and returns them re-addressed to d, so each loads as a hit.
+func realBlobs(f *testing.F, d Digest) [][]byte {
+	dir := f.TempDir()
+	s := newTestStore(f, dir)
+	if _, err := s.RunStats(warmupHeavySpec(f, accel.LT, 2000)); err != nil {
+		f.Fatal(err)
+	}
+	var calls atomic.Int64
+	if _, _, err := s.MeasureRecipe(testRecipe(), recipeMeasure(s, &calls)); err != nil {
+		f.Fatal(err)
+	}
+	var blobs [][]byte
+	seen := map[string]bool{}
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		kind, hexDigest, _ := strings.Cut(strings.TrimSuffix(e.Name(), ".json"), "-")
+		if seen[kind] {
+			return nil
+		}
+		seen[kind] = true
+		data, err := os.ReadFile(path)
+		blobs = append(blobs, bytes.ReplaceAll(data, []byte(hexDigest), []byte(d.String())))
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(seen) != 4 {
+		f.Fatalf("filled store holds blob kinds %v, want run, measure, ckpt and recipe", seen)
+	}
+	return blobs
 }

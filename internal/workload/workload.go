@@ -59,6 +59,49 @@ type Workload struct {
 	AccelLatency float64
 }
 
+// GeneratorVersion names the output of every generator in this package.
+// A stored recipe (internal/scenario) claims that a Spec builds to one
+// measure digest, and that claim holds only while the generators do not
+// change. Bump it whenever any generator's output changes for some spec:
+// its programs, init image, counts, AccelLatency or DeviceKey.
+// TestGeneratorVersionPinsOutput pins a corpus hash to the current value.
+const GeneratorVersion = 1
+
+// Counts is the dynamic instruction accounting of a workload: the
+// scalars the model calibrates from and the renderers print.
+type Counts struct {
+	Acceleratable        uint64
+	Invocations          uint64
+	BaselineInstructions uint64
+}
+
+// Validate checks the counts a well-formed workload has: at least one
+// invocation, and an acceleratable share strictly inside the baseline.
+func (c Counts) Validate() error {
+	if c.Invocations == 0 {
+		return fmt.Errorf("no invocations")
+	}
+	if c.Acceleratable == 0 || c.Acceleratable >= c.BaselineInstructions {
+		return fmt.Errorf("acceleratable %d out of range (total %d)",
+			c.Acceleratable, c.BaselineInstructions)
+	}
+	return nil
+}
+
+// Granularity returns a/v, baseline instructions replaced per invocation.
+func (c Counts) Granularity() float64 {
+	return float64(c.Acceleratable) / float64(c.Invocations)
+}
+
+// Counts returns the workload's instruction accounting.
+func (w *Workload) Counts() Counts {
+	return Counts{
+		Acceleratable:        w.Acceleratable,
+		Invocations:          w.Invocations,
+		BaselineInstructions: w.BaselineInstructions,
+	}
+}
+
 // Validate checks the pair's structural consistency.
 func (w *Workload) Validate() error {
 	if w.Baseline == nil || w.Accelerated == nil {
@@ -70,12 +113,8 @@ func (w *Workload) Validate() error {
 	if err := w.Accelerated.Validate(); err != nil {
 		return fmt.Errorf("workload %s accelerated: %w", w.Name, err)
 	}
-	if w.Invocations == 0 {
-		return fmt.Errorf("workload %s: no invocations", w.Name)
-	}
-	if w.Acceleratable == 0 || w.Acceleratable >= w.BaselineInstructions {
-		return fmt.Errorf("workload %s: acceleratable %d out of range (total %d)",
-			w.Name, w.Acceleratable, w.BaselineInstructions)
+	if err := w.Counts().Validate(); err != nil {
+		return fmt.Errorf("workload %s: %w", w.Name, err)
 	}
 	return nil
 }
@@ -91,6 +130,4 @@ func (w *Workload) InvocationFreq() float64 {
 }
 
 // Granularity returns a/v, baseline instructions replaced per invocation.
-func (w *Workload) Granularity() float64 {
-	return float64(w.Acceleratable) / float64(w.Invocations)
-}
+func (w *Workload) Granularity() float64 { return w.Counts().Granularity() }
