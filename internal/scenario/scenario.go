@@ -8,7 +8,9 @@
 // bit-identical sim.Stats, so the digest can key a result cache shared
 // by every experiment driver: the Store layered on top deduplicates
 // identical runs within a figure sweep, across figures, and (with a
-// disk directory) across processes.
+// disk directory) across processes. A Recipe names a whole sweep point
+// one step earlier, by the workload generator spec that builds it, so
+// the store answers a stored point without building it (recipe.go).
 //
 // Canonicalization is deliberately one-directional: fields that cannot
 // change simulated-machine results are erased before hashing
