@@ -9,7 +9,7 @@
 // Usage:
 //
 //	scenariod [-addr HOST:PORT] [-cache-dir DIR] [-workers N] [-queue-depth N]
-//	          [-measure-parallel N] [-no-ckpt-fork] [-addr-file PATH]
+//	          [-no-ckpt-fork] [-addr-file PATH]
 //
 // -addr defaults to 127.0.0.1:8344; :0 picks a free port. -addr-file
 // writes the bound address to PATH once listening (how scripts and CI
@@ -51,13 +51,12 @@ func main() {
 
 func realMain() int {
 	var (
-		addr            = flag.String("addr", "127.0.0.1:8344", "listen address (use :0 for a free port)")
-		addrFile        = flag.String("addr-file", "", "write the bound address to this file once listening")
-		cacheDir        = flag.String("cache-dir", "", "persistent blob cache directory (empty: memory only)")
-		workers         = flag.Int("workers", 0, "execution pool workers (0: GOMAXPROCS)")
-		queueDepth      = flag.Int("queue-depth", 0, "admission queue bound (0: 4x workers)")
-		measureParallel = flag.Int("measure-parallel", 0, "fan-out inside one measure job (0: 1)")
-		noCkptFork      = flag.Bool("no-ckpt-fork", false, "disable warm-checkpoint forking (and with it warmup-family batching)")
+		addr       = flag.String("addr", "127.0.0.1:8344", "listen address (use :0 for a free port)")
+		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
+		cacheDir   = flag.String("cache-dir", "", "persistent blob cache directory (empty: memory only)")
+		workers    = flag.Int("workers", 0, "execution pool workers (0: GOMAXPROCS)")
+		queueDepth = flag.Int("queue-depth", 0, "admission queue bound (0: 4x workers)")
+		noCkptFork = flag.Bool("no-ckpt-fork", false, "disable warm-checkpoint forking (and with it warmup-family batching)")
 	)
 	flag.Parse()
 
@@ -70,10 +69,9 @@ func realMain() int {
 		store.DisableCheckpointForking()
 	}
 	srv, err := serve.New(serve.Options{
-		Store:           store,
-		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		MeasureParallel: *measureParallel,
+		Store:      store,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scenariod:", err)

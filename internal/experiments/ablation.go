@@ -108,13 +108,9 @@ type LoadOrderingAblation struct {
 	ConservativeIPC    float64
 }
 
-// LoadOrdering runs the A2 ablation on the given workload's baseline.
-func LoadOrdering(cfg sim.Config, w *workload.Workload) (*LoadOrderingAblation, error) {
-	return LoadOrderingStore(nil, cfg, w, 0)
-}
-
-// LoadOrderingStore is LoadOrdering through a scenario store, both
-// policy runs fanned out parallel wide (<= 0 selects GOMAXPROCS): the
+// LoadOrderingStore runs the A2 ablation on the given workload's
+// baseline through a scenario store (nil runs directly), both policy
+// runs fanned out parallel wide (<= 0 selects GOMAXPROCS): the
 // decoupled run is digest-identical to the workload's measurement
 // baseline, so with a shared store one of the two executions is free.
 func LoadOrderingStore(store *scenario.Store, cfg sim.Config, w *workload.Workload, parallel int) (*LoadOrderingAblation, error) {

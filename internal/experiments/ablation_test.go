@@ -71,7 +71,7 @@ func TestLoadOrderingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := LoadOrdering(sim.HighPerfConfig(), w)
+	ab, err := LoadOrderingStore(nil, sim.HighPerfConfig(), w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

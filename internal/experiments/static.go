@@ -48,17 +48,12 @@ func StaticMachine(cfg sim.Config) staticmodel.Machine {
 	}
 }
 
-// StaticPredictWorkload runs the full static pipeline for one
+// StaticPredictWorkloadStore runs the full static pipeline for one
 // (config, workload) point: profile both programs, feed the workload's
 // known region metadata into the interval model, and predict all four
-// mode speedups — microseconds of work, no simulation.
-func StaticPredictWorkload(cfg sim.Config, w *workload.Workload) (*staticmodel.Prediction, error) {
-	return StaticPredictWorkloadStore(nil, cfg, w)
-}
-
-// StaticPredictWorkloadStore is StaticPredictWorkload through a scenario
-// store: predictions cache by the same canonical (config, workload)
-// digest that keys the point's full measurement. A nil store computes
+// mode speedups — microseconds of work, no simulation. Predictions
+// cache in the store by the same canonical (config, workload) digest
+// that keys the point's full measurement; a nil store computes
 // directly.
 func StaticPredictWorkloadStore(store *scenario.Store, cfg sim.Config, w *workload.Workload) (*staticmodel.Prediction, error) {
 	if err := w.Validate(); err != nil {

@@ -89,7 +89,7 @@ func predictSuiteEntry(t testing.TB, e staticSuiteEntry) *staticmodel.Prediction
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := StaticPredictWorkload(e.cfg, w)
+	pred, err := StaticPredictWorkloadStore(nil, e.cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

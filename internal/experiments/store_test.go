@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -24,6 +27,44 @@ func storeTestWorkload(t testing.TB) *workload.Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestKeylessWorkloadRejected: a workload whose device has no DeviceKey
+// is refused by the measure and static entry points at every store
+// state, and nothing is run, counted or written for it.
+func TestKeylessWorkloadRejected(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := scenario.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memory, err := scenario.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := storeTestWorkload(t)
+	built := 0
+	newDevice := w.NewDevice
+	w.NewDevice = func() isa.AccelDevice { built++; return newDevice() }
+	w.DeviceKey = ""
+	cfg := sim.HighPerfConfig()
+	for name, store := range map[string]*scenario.Store{"nil": nil, "memory": memory, "disk": disk} {
+		if _, err := MeasureWorkloadStore(store, cfg, w, 1); err == nil || !strings.Contains(err.Error(), "DeviceKey") {
+			t.Errorf("%s store: MeasureWorkloadStore err %v, want the DeviceKey error", name, err)
+		}
+		if _, err := StaticPredictWorkloadStore(store, cfg, w); err == nil || !strings.Contains(err.Error(), "DeviceKey") {
+			t.Errorf("%s store: StaticPredictWorkloadStore err %v, want the DeviceKey error", name, err)
+		}
+		if m := store.Metrics(); m != (scenario.Metrics{}) {
+			t.Errorf("%s store: a keyless workload was counted: %+v", name, m)
+		}
+	}
+	if built != 0 {
+		t.Errorf("a keyless workload built its device %d times", built)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a keyless workload left %d entries on disk", len(entries))
+	}
 }
 
 // TestMeasureWorkloadStoreMatchesDirect is the core cache contract at
@@ -230,40 +271,34 @@ func BenchmarkMeasureWorkloadWarm(b *testing.B) {
 	}
 }
 
-// TestWarmReplayBuildsNothing: the -quick Fig 4, Fig 5, E4 and DevCross
-// sweeps replayed by a fresh store over their filled directory are
-// answered from recipe and measure blobs alone, and equal the cold
-// results. With the recipe blobs deleted (a directory filled before the
-// recipe level existed) the replay still simulates nothing, and writes
-// the recipes back.
+// TestWarmReplayBuildsNothing: the whole -quick artifact, text and CSV
+// of every Sections entry, replayed by a fresh store over its filled
+// directory is answered from stored blobs alone (the static level is
+// memory-only, so its misses are expected) and renders the cold bytes.
+// With the recipe blobs deleted (a directory filled before the recipe
+// level existed) the replay still simulates nothing, and writes the
+// recipes back.
 func TestWarmReplayBuildsNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweeps")
 	}
 	dir := t.TempDir()
-	replay := func() (*scenario.Store, []any) {
+	replay := func() (*scenario.Store, string) {
 		store, err := scenario.NewStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := Options{Store: store, Parallel: 2, Quick: true}
-		f4, err := Fig4(o.Fig4())
-		if err != nil {
-			t.Fatal(err)
+		var buf strings.Builder
+		for _, sec := range Sections {
+			fmt.Fprintf(&buf, "== %s\n", sec.Title)
+			out, err := sec.Run(&buf, o, "all")
+			if err != nil {
+				t.Fatalf("%s: %v", sec.Title, err)
+			}
+			buf.WriteString(out.CSV)
 		}
-		f5, err := Fig5(o.Fig5())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e4, err := E4(o.E4())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dc, err := DevCross(o.DevCross())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return store, []any{f4, f5, e4, dc}
+		return store, buf.String()
 	}
 	recipes := func() []string {
 		paths, err := filepath.Glob(filepath.Join(dir, "*", "recipe-*.json"))
@@ -283,8 +318,8 @@ func TestWarmReplayBuildsNothing(t *testing.T) {
 	if m := warmStore.Metrics(); m.RecipeMisses != 0 || m.MeasureMisses != 0 || m.RunMisses != 0 {
 		t.Errorf("warm replay missed: %v", m)
 	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Error("warm replay results differ from the cold ones")
+	if cold != warm {
+		t.Errorf("warm replay renders differently:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
 
 	for _, p := range recipes() {
@@ -299,7 +334,7 @@ func TestWarmReplayBuildsNothing(t *testing.T) {
 	if n := len(recipes()); int64(n) != points {
 		t.Errorf("replay without recipes wrote %d recipe blobs back, want %d", n, points)
 	}
-	if !reflect.DeepEqual(cold, legacy) {
-		t.Error("replay without recipes differs from the cold results")
+	if cold != legacy {
+		t.Errorf("replay without recipes renders differently:\ncold:\n%s\nlegacy:\n%s", cold, legacy)
 	}
 }

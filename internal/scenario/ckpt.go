@@ -10,9 +10,9 @@ import (
 // A sweep varies post-warmup fields — Mode, PartialSpeculation,
 // RecordAccelEvents — over one program on one core, so every variant
 // re-executes an identical warmup prefix up to the first accelerator
-// fetch. The store exploits that: the first cacheable miss of a warmup
-// family runs the prefix once under Config.WarmupCanonical, snapshots
-// the paused core, and every variant (including the first) resumes from
+// fetch. The store exploits that: the first miss of a warmup family
+// runs the prefix once under Config.WarmupCanonical, snapshots the
+// paused core, and every variant (including the first) resumes from
 // the shared sim.Checkpoint instead of re-simulating the prefix. The
 // snapshot-legality and prefix-identity arguments live in DESIGN.md
 // ("Warm-state checkpointing"); the resulting Stats are bit-identical to
@@ -46,13 +46,13 @@ func (sp Spec) warmupDigest() Digest {
 
 // WarmupFamily returns the digest grouping specs that share a warm
 // checkpoint in this store, and whether the spec participates in
-// forking at all (forking enabled, spec cacheable and statically
-// forkable). scenariod's scheduler uses it to batch compatible jobs:
-// parking the rest of a family until its first member has produced the
-// shared checkpoint keeps a burst of identical sweeps from pinning
-// every worker on one singleflighted warmup.
+// forking at all (forking enabled and spec statically forkable).
+// scenariod's scheduler uses it to batch compatible jobs: parking the
+// rest of a family until its first member has produced the shared
+// checkpoint keeps a burst of identical sweeps from pinning every
+// worker on one singleflighted warmup. The spec must be valid.
 func (s *Store) WarmupFamily(sp Spec) (Digest, bool) {
-	if s == nil || s.noCkptFork || !sp.Cacheable() || !sp.forkable() {
+	if s == nil || s.noCkptFork || !sp.forkable() {
 		return Digest{}, false
 	}
 	return sp.warmupDigest(), true

@@ -152,11 +152,12 @@ func (e *encoder) program(p *isa.Program) {
 	}
 }
 
-// Digest returns the spec's content address. Panics on uncacheable
-// specs — callers gate on Cacheable() first.
+// Digest returns the spec's content address. It panics on a device
+// without a DeviceKey, which Validate rejects: such a spec has no
+// identity, and hashing it anyway could share results across devices.
 func (sp Spec) Digest() Digest {
-	if !sp.Cacheable() {
-		panic("scenario: Digest on uncacheable spec (device without DeviceKey)")
+	if sp.NewDevice != nil && sp.DeviceKey == "" {
+		panic("scenario: Digest on a spec whose device has no DeviceKey")
 	}
 	e := newEncoder("run")
 	e.config(sp.Config)
@@ -167,13 +168,13 @@ func (sp Spec) Digest() Digest {
 	return e.sum()
 }
 
-// Digest returns the measure spec's content address. Panics on
-// uncacheable specs — callers gate on Cacheable() first.
+// Digest returns the measure spec's content address. Like Spec.Digest
+// it panics on a device without a DeviceKey.
 func (ms MeasureSpec) Digest() Digest {
-	if !ms.Cacheable() {
-		panic("scenario: Digest on uncacheable measure spec (device without DeviceKey)")
-	}
 	w := ms.Workload
+	if w.NewDevice != nil && w.DeviceKey == "" {
+		panic("scenario: Digest on a measure spec whose device has no DeviceKey")
+	}
 	e := newEncoder("measure")
 	e.config(ms.Config)
 	e.programRef(w.Baseline)
@@ -190,7 +191,8 @@ func (ms MeasureSpec) Digest() Digest {
 
 // Describe writes the human-readable canonical form — every field that
 // participates in the digest, in encoding order — followed by the
-// digest itself. cmd/tcasim's -dump-scenario flag prints this.
+// digest itself, so it panics where Digest does. cmd/tcasim's
+// -dump-scenario flag prints this.
 func (sp Spec) Describe(w io.Writer) {
 	c := sp.Config.Canonical()
 	fmt.Fprintf(w, "scheme:      tca-scenario v%d\n", SchemeVersion)
@@ -227,15 +229,9 @@ func (sp Spec) Describe(w io.Writer) {
 		len(sp.Program.Code), len(sp.Program.Init))
 	if sp.NewDevice == nil {
 		fmt.Fprintf(w, "device:      none\n")
-	} else if sp.DeviceKey == "" {
-		fmt.Fprintf(w, "device:      <no key: uncacheable>\n")
 	} else {
 		fmt.Fprintf(w, "device:      %s\n", sp.DeviceKey)
 	}
 	fmt.Fprintf(w, "max-cycles:  %d\n", sp.MaxCycles)
-	if sp.Cacheable() {
-		fmt.Fprintf(w, "digest:      %s\n", sp.Digest())
-	} else {
-		fmt.Fprintf(w, "digest:      <uncacheable>\n")
-	}
+	fmt.Fprintf(w, "digest:      %s\n", sp.Digest())
 }

@@ -156,7 +156,9 @@ func TestDigestSensitivity(t *testing.T) {
 }
 
 // TestDigestPanicsOnUncacheable: a device without a canonical key has
-// no identity; hashing it anyway would risk cross-device sharing.
+// no identity, so Validate rejects it, and Digest panics as the backstop
+// for a caller that skips validation: hashing it anyway would risk
+// cross-device sharing.
 func TestDigestPanicsOnUncacheable(t *testing.T) {
 	spec := Spec{
 		Config:    sim.HighPerfConfig(),
@@ -164,12 +166,12 @@ func TestDigestPanicsOnUncacheable(t *testing.T) {
 		NewDevice: func() isa.AccelDevice { return nil },
 		MaxCycles: 1,
 	}
-	if spec.Cacheable() {
-		t.Fatal("device without key should not be cacheable")
+	if spec.Validate() == nil {
+		t.Fatal("a device without a key passed Validate")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Digest on uncacheable spec did not panic")
+			t.Error("Digest on a keyless device did not panic")
 		}
 	}()
 	spec.Digest()
@@ -187,13 +189,6 @@ func TestDescribe(t *testing.T) {
 	}
 	if !strings.Contains(out, "gshare") {
 		t.Errorf("Describe output missing canonical predictor:\n%s", out)
-	}
-
-	spec.NewDevice = func() isa.AccelDevice { return nil }
-	sb.Reset()
-	spec.Describe(&sb)
-	if !strings.Contains(sb.String(), "uncacheable") {
-		t.Errorf("Describe of uncacheable spec should say so:\n%s", sb.String())
 	}
 }
 

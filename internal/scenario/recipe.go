@@ -54,13 +54,10 @@ func (r Recipe) measureSpec(w *workload.Workload) MeasureSpec {
 }
 
 // recipeValue is what a recipe resolves to: the measure digest its
-// workload builds to and the workload's counts. An uncacheable workload
-// (a device without a key) has no measure digest; its value stays in
-// memory and every request for it builds and measures directly.
+// workload builds to and the workload's counts.
 type recipeValue struct {
-	measure     Digest
-	counts      workload.Counts
-	uncacheable bool
+	measure Digest
+	counts  workload.Counts
 }
 
 // MeasureRecipe returns the measurement of the point r names, and its
@@ -73,13 +70,22 @@ type recipeValue struct {
 // validates the workload once, measures it through the measure level
 // and stores the recipe. A stored recipe whose record is gone builds to
 // re-measure, and fails, writing nothing, if the workload no longer
-// builds to the recipe's digest. A nil store, or a recipe without a
-// canonical identity, builds and measures as Measure does.
+// builds to the recipe's digest. A nil store builds, validates and
+// measures directly. A recipe without a canonical identity, or whose
+// workload fails validation (a device without a DeviceKey among them),
+// is an error at every store state, and nothing is written for it.
 func (s *Store) MeasureRecipe(r Recipe, measure func(*workload.Workload) (MeasureRecord, error)) (MeasureRecord, workload.Counts, error) {
 	d, ok := r.Digest()
-	if s == nil || !ok {
-		rec, counts, err := s.measureBuilt(r, measure)
-		return rec.Clone(), counts, err
+	if !ok {
+		return MeasureRecord{}, workload.Counts{}, fmt.Errorf("scenario: the %s spec has no recipe identity: its JSON does not decode back to it", r.Spec.Kind)
+	}
+	if s == nil {
+		w, err := s.buildWorkload(r.Spec)
+		if err != nil {
+			return MeasureRecord{}, workload.Counts{}, err
+		}
+		rec, err := measure(w)
+		return rec, w.Counts(), err
 	}
 	// The caller that runs the recipe miss measures inside it, so a
 	// caller joining the miss finds the record in memory and nobody
@@ -94,46 +100,18 @@ func (s *Store) MeasureRecipe(r Recipe, measure func(*workload.Workload) (Measur
 				return recipeValue{}, err
 			}
 			measured = true
-			ms := r.measureSpec(w)
-			compute := func() (MeasureRecord, error) { return measure(w) }
-			if !ms.Cacheable() {
-				rec, err = s.measure(ms, compute)
-				return recipeValue{counts: w.Counts(), uncacheable: true}, err
-			}
-			rv := recipeValue{measure: ms.Digest(), counts: w.Counts()}
-			rec, err = s.measureAt(rv.measure, compute)
+			rv := recipeValue{measure: r.measureSpec(w).Digest(), counts: w.Counts()}
+			rec, err = s.measureAt(rv.measure, func() (MeasureRecord, error) { return measure(w) })
 			return rv, err
 		},
-		func(rv recipeValue) {
-			if !rv.uncacheable {
-				s.saveRecipeBlob(d, rv)
-			}
-		})
-	if err != nil {
-		return MeasureRecord{}, workload.Counts{}, err
-	}
-	switch {
-	case measured: // this caller ran the miss and holds its record
-	case rv.uncacheable:
-		rec, _, err = s.measureBuilt(r, measure)
-	default:
+		func(rv recipeValue) { s.saveRecipeBlob(d, rv) })
+	if err == nil && !measured {
 		rec, err = s.measureStored(r, rv.measure, measure)
 	}
 	if err != nil {
 		return MeasureRecord{}, workload.Counts{}, err
 	}
 	return rec.Clone(), rv.counts, nil
-}
-
-// measureBuilt builds the recipe's workload and measures it as Measure
-// does.
-func (s *Store) measureBuilt(r Recipe, measure func(*workload.Workload) (MeasureRecord, error)) (MeasureRecord, workload.Counts, error) {
-	w, err := s.buildWorkload(r.Spec)
-	if err != nil {
-		return MeasureRecord{}, workload.Counts{}, err
-	}
-	rec, err := s.measure(r.measureSpec(w), func() (MeasureRecord, error) { return measure(w) })
-	return rec, w.Counts(), err
 }
 
 // measureStored answers a recipe hit from the measure level under the
@@ -145,7 +123,7 @@ func (s *Store) measureStored(r Recipe, d Digest, measure func(*workload.Workloa
 		if err != nil {
 			return MeasureRecord{}, err
 		}
-		if ms := r.measureSpec(w); !ms.Cacheable() || ms.Digest() != d {
+		if r.measureSpec(w).Digest() != d {
 			return MeasureRecord{}, fmt.Errorf("scenario: stale recipe: the %s spec no longer builds to measure %s; a generator changed without a workload.GeneratorVersion bump (now %d)",
 				r.Spec.Kind, d.Short(), workload.GeneratorVersion)
 		}

@@ -295,27 +295,37 @@ func TestNilStoreRecipeMatchesStore(t *testing.T) {
 	}
 }
 
-// TestUncacheableRecipeWritesNoRecipe: a workload whose device has no
-// key has no measure digest, so its recipe is never written and every
-// request measures it directly.
-func TestUncacheableRecipeWritesNoRecipe(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestStore(t, dir)
-	builds := countBuilds(s, func(w *workload.Workload) { w.DeviceKey = "" })
-	var calls atomic.Int64
-	first := measureRecipe(t, s, testRecipe(), &calls)
-	second := measureRecipe(t, s, testRecipe(), &calls)
-	if !reflect.DeepEqual(first, second) {
-		t.Error("uncacheable point measured differently twice")
-	}
-	if n := len(blobFiles(t, dir, "recipe")); n != 0 {
-		t.Errorf("%d recipe blobs for an uncacheable workload, want 0", n)
-	}
-	if builds.Load() != 2 || calls.Load() != 2 {
-		t.Errorf("%d builds and %d measurements, want 2 and 2", builds.Load(), calls.Load())
-	}
-	if m := s.Metrics(); m.MeasureUncacheable != 2 || m.MeasureMisses != 0 {
-		t.Errorf("measure counters %+v, want 2 uncacheable", m)
+// TestRecipeRejectsKeylessDevice: a generator that stamps no DeviceKey
+// builds an invalid workload, so the point is an error on memory and
+// disk stores: nothing is measured, counted below the recipe level or
+// written, and the recipe level remembers the error in memory like any
+// build error. The nil store takes no substitute builder; it validates
+// through the same buildWorkload.
+func TestRecipeRejectsKeylessDevice(t *testing.T) {
+	for name, dir := range map[string]string{"memory": "", "disk": t.TempDir()} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestStore(t, dir)
+			builds := countBuilds(s, func(w *workload.Workload) { w.DeviceKey = "" })
+			var calls atomic.Int64
+			for i := 0; i < 2; i++ {
+				_, _, err := s.MeasureRecipe(testRecipe(), recipeMeasure(s, &calls))
+				if err == nil || !strings.Contains(err.Error(), "DeviceKey") {
+					t.Fatalf("call %d: err %v, want the DeviceKey error", i, err)
+				}
+			}
+			if builds.Load() != 1 || calls.Load() != 0 {
+				t.Errorf("%d builds and %d measurements, want 1 and 0", builds.Load(), calls.Load())
+			}
+			m := s.Metrics()
+			if m.MeasureMisses+m.MeasureHits+m.RunMisses+m.RunHits != 0 || m.BytesWritten != 0 {
+				t.Errorf("a keyless point was measured or written: %+v", m)
+			}
+			if dir != "" {
+				if n := len(blobFiles(t, dir, "")); n != 0 {
+					t.Errorf("a keyless point left %d blobs on disk", n)
+				}
+			}
+		})
 	}
 }
 
@@ -402,7 +412,8 @@ func TestGoldenRecipeDigest(t *testing.T) {
 
 // TestRecipeDigestLossyJSON: a string that is not valid UTF-8 marshals
 // lossily, so such a spec has no recipe identity: two of them would
-// share the JSON bytes.
+// share the JSON bytes. MeasureRecipe refuses it at every store state
+// without building, measuring, counting or writing.
 func TestRecipeDigestLossyJSON(t *testing.T) {
 	spec, err := workload.DefaultSpec("regexmatch")
 	if err != nil {
@@ -412,10 +423,27 @@ func TestRecipeDigestLossyJSON(t *testing.T) {
 	ac, bc := *spec.RegexMatch, *spec.RegexMatch
 	ac.Pattern, bc.Pattern = "a\xff", "a\xfe"
 	a.RegexMatch, b.RegexMatch = &ac, &bc
-	for _, s := range []workload.Spec{a, b} {
-		if _, ok := (Recipe{Spec: s, Config: sim.HighPerfConfig(), MaxCycles: 1}).Digest(); ok {
-			t.Errorf("pattern %q: lossy spec JSON got a recipe digest", s.RegexMatch.Pattern)
+	dir := t.TempDir()
+	for _, spec := range []workload.Spec{a, b} {
+		r := Recipe{Spec: spec, Config: sim.HighPerfConfig(), MaxCycles: 1}
+		if _, ok := r.Digest(); ok {
+			t.Errorf("pattern %q: lossy spec JSON got a recipe digest", spec.RegexMatch.Pattern)
 		}
+		for name, s := range map[string]*Store{"nil": nil, "memory": newTestStore(t, ""), "disk": newTestStore(t, dir)} {
+			var calls atomic.Int64
+			if _, _, err := s.MeasureRecipe(r, recipeMeasure(s, &calls)); err == nil || !strings.Contains(err.Error(), "recipe identity") {
+				t.Errorf("%s store, pattern %q: err %v, want the recipe identity error", name, spec.RegexMatch.Pattern, err)
+			}
+			if calls.Load() != 0 {
+				t.Errorf("%s store, pattern %q: a lossy spec was measured", name, spec.RegexMatch.Pattern)
+			}
+			if m := s.Metrics(); m != (Metrics{}) {
+				t.Errorf("%s store, pattern %q: a lossy spec was counted: %+v", name, spec.RegexMatch.Pattern, m)
+			}
+		}
+	}
+	if n := len(blobFiles(t, dir, "")); n != 0 {
+		t.Errorf("a lossy spec left %d blobs on disk", n)
 	}
 }
 

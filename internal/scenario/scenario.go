@@ -20,7 +20,7 @@
 // semantics-equal. The converse does not hold and does not need to:
 // a missed dedup opportunity costs time, a wrong hit would corrupt
 // results. For the same reason a Spec whose device lacks a canonical
-// DeviceKey is simply uncacheable — it executes directly every time.
+// DeviceKey is invalid: the store never runs a device it cannot name.
 package scenario
 
 import (
@@ -56,8 +56,8 @@ type Spec struct {
 	// closure itself cannot be hashed; DeviceKey stands in for it.
 	NewDevice func() isa.AccelDevice
 	// DeviceKey canonically describes the device: equal keys must mean
-	// behaviorally identical devices. Empty with a non-nil NewDevice
-	// marks the spec uncacheable.
+	// behaviorally identical devices. Validate requires it whenever
+	// NewDevice is set.
 	DeviceKey string
 	// MaxCycles bounds the run.
 	MaxCycles int64
@@ -72,15 +72,10 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("scenario: empty program")
 	case sp.MaxCycles <= 0:
 		return fmt.Errorf("scenario: max cycles %d must be positive", sp.MaxCycles)
+	case sp.NewDevice != nil && sp.DeviceKey == "":
+		return fmt.Errorf("scenario: device without a DeviceKey")
 	}
 	return sp.Config.Validate()
-}
-
-// Cacheable reports whether the spec has a complete canonical identity.
-// Device-bearing specs without a DeviceKey execute directly: the store
-// never risks sharing results between unidentified devices.
-func (sp Spec) Cacheable() bool {
-	return sp.NewDevice == nil || sp.DeviceKey != ""
 }
 
 // run executes the spec directly, bypassing any cache.
@@ -123,11 +118,4 @@ func (ms MeasureSpec) Validate() error {
 		return err
 	}
 	return ms.Config.Validate()
-}
-
-// Cacheable reports whether the measure spec has a complete canonical
-// identity (see Spec.Cacheable).
-func (ms MeasureSpec) Cacheable() bool {
-	w := ms.Workload
-	return w != nil && (w.NewDevice == nil || w.DeviceKey != "")
 }

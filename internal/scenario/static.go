@@ -10,13 +10,10 @@ import "repro/internal/staticmodel"
 // costs microseconds, less than a disk round-trip, so persistence would
 // be pure overhead. What the cache buys is in-process deduplication
 // (sweeps sharing points, the prune pre-pass followed by the staticerr
-// table) and singleflight under concurrency.
+// table) and singleflight under concurrency. The spec must be valid
+// (see MeasureSpec.Validate).
 func (s *Store) StaticPrediction(spec MeasureSpec, compute func() (*staticmodel.Prediction, error)) (*staticmodel.Prediction, error) {
 	if s == nil {
-		return compute()
-	}
-	if !spec.Cacheable() {
-		s.statics.uncacheable.Add(1)
 		return compute()
 	}
 	pred, err := s.statics.get(spec.Digest(), nil, compute, nil)

@@ -82,8 +82,8 @@ func TestStaticPredictionCache(t *testing.T) {
 		t.Errorf("distinct spec: compute called %d times total, want 2", calls)
 	}
 	m := s.Metrics()
-	if m.StaticMisses != 2 || m.StaticHits != 1 || m.StaticUncacheable != 0 {
-		t.Errorf("metrics %+v, want 2 static misses / 1 hit / 0 uncacheable", m)
+	if m.StaticMisses != 2 || m.StaticHits != 1 {
+		t.Errorf("metrics %+v, want 2 static misses / 1 hit", m)
 	}
 }
 
@@ -167,31 +167,5 @@ func TestStaticPredictionError(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("failing compute called %d times, want 1 (errors are cached)", calls)
-	}
-}
-
-// TestStaticPredictionUncacheable: specs without a content address fall
-// through to direct computation and are counted.
-func TestStaticPredictionUncacheable(t *testing.T) {
-	s := newTestStore(t, "")
-	spec := staticTestSpec(t)
-	spec.Workload = nil // no workload -> no digestable identity
-	if spec.Cacheable() {
-		t.Skip("spec unexpectedly cacheable; adjust the fixture")
-	}
-	calls := 0
-	for i := 0; i < 2; i++ {
-		if _, err := s.StaticPrediction(spec, func() (*staticmodel.Prediction, error) {
-			calls++
-			return staticTestPrediction(), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 2 {
-		t.Errorf("uncacheable compute called %d times, want 2", calls)
-	}
-	if m := s.Metrics(); m.StaticUncacheable != 2 {
-		t.Errorf("metrics %+v, want 2 static uncacheable", m)
 	}
 }

@@ -66,7 +66,7 @@ type level[T any] struct {
 	mu      sync.Mutex
 	entries map[Digest]*entry[T]
 
-	hits, misses, diskHits, coalesced, uncacheable atomic.Int64
+	hits, misses, diskHits, coalesced atomic.Int64
 }
 
 type entry[T any] struct {
@@ -156,14 +156,15 @@ func (s *Store) DisableCheckpointForking() {
 }
 
 // RunStats executes the spec — or returns the cached sim.Stats of a
-// digest-equal earlier run. The returned Stats is a private copy;
-// callers may mutate it freely.
+// digest-equal earlier run. An invalid spec, a device without a
+// DeviceKey among them, is an error at every store state, nil included,
+// and runs nothing. The returned Stats is a private copy; callers may
+// mutate it freely.
 func (s *Store) RunStats(spec Spec) (sim.Stats, error) {
-	if s == nil {
-		return spec.run()
+	if err := spec.Validate(); err != nil {
+		return sim.Stats{}, err
 	}
-	if !spec.Cacheable() {
-		s.runs.uncacheable.Add(1)
+	if s == nil {
 		return spec.run()
 	}
 	d := spec.Digest()
@@ -177,22 +178,14 @@ func (s *Store) RunStats(spec Spec) (sim.Stats, error) {
 // Measure returns the cached MeasureRecord for the spec, or computes
 // it once via compute. The compute closure typically issues its
 // constituent runs through s.RunStats, so run-level deduplication
-// applies even when the measure level misses.
+// applies even when the measure level misses. The spec must be valid
+// (see MeasureSpec.Validate).
 func (s *Store) Measure(spec MeasureSpec, compute func() (MeasureRecord, error)) (MeasureRecord, error) {
-	rec, err := s.measure(spec, compute)
-	return rec.Clone(), err
-}
-
-// measure is Measure without the defensive copy.
-func (s *Store) measure(spec MeasureSpec, compute func() (MeasureRecord, error)) (MeasureRecord, error) {
 	if s == nil {
 		return compute()
 	}
-	if !spec.Cacheable() {
-		s.measures.uncacheable.Add(1)
-		return compute()
-	}
-	return s.measureAt(spec.Digest(), compute)
+	rec, err := s.measureAt(spec.Digest(), compute)
+	return rec.Clone(), err
 }
 
 // measureAt returns the record cached under the measure digest d.
@@ -246,11 +239,10 @@ type Metrics struct {
 	// entries, Coalesced joined an execution that was still in flight
 	// (the singleflight dedup — under a multi-client daemon this is the
 	// cross-client sharing), DiskHits loaded the blob directory, Misses
-	// executed the simulator, Uncacheable runs bypassed the cache
-	// (device without a canonical key).
-	RunHits, RunMisses, RunDiskHits, RunUncacheable, RunCoalesced int64
+	// executed the simulator.
+	RunHits, RunMisses, RunDiskHits, RunCoalesced int64
 	// Measure-level counters, same meaning.
-	MeasureHits, MeasureMisses, MeasureDiskHits, MeasureUncacheable, MeasureCoalesced int64
+	MeasureHits, MeasureMisses, MeasureDiskHits, MeasureCoalesced int64
 	// Recipe-level counters, same meaning: a hit or disk hit answers a
 	// sweep point without building its workload, a miss builds it.
 	RecipeHits, RecipeMisses, RecipeDiskHits, RecipeCoalesced int64
@@ -260,7 +252,7 @@ type Metrics struct {
 	CkptForks, CkptWarmups, CkptDiskHits int64
 	// Static-prediction counters (memory-only level, see
 	// Store.StaticPrediction).
-	StaticHits, StaticMisses, StaticUncacheable, StaticCoalesced int64
+	StaticHits, StaticMisses, StaticCoalesced int64
 	// BytesRead/BytesWritten count disk-blob traffic.
 	BytesRead, BytesWritten int64
 }
@@ -271,37 +263,34 @@ func (s *Store) Metrics() Metrics {
 		return Metrics{}
 	}
 	return Metrics{
-		RunHits:            s.runs.hits.Load(),
-		RunMisses:          s.runs.misses.Load(),
-		RunDiskHits:        s.runs.diskHits.Load(),
-		RunUncacheable:     s.runs.uncacheable.Load(),
-		RunCoalesced:       s.runs.coalesced.Load(),
-		MeasureHits:        s.measures.hits.Load(),
-		MeasureMisses:      s.measures.misses.Load(),
-		MeasureDiskHits:    s.measures.diskHits.Load(),
-		MeasureUncacheable: s.measures.uncacheable.Load(),
-		MeasureCoalesced:   s.measures.coalesced.Load(),
-		RecipeHits:         s.recipes.hits.Load(),
-		RecipeMisses:       s.recipes.misses.Load(),
-		RecipeDiskHits:     s.recipes.diskHits.Load(),
-		RecipeCoalesced:    s.recipes.coalesced.Load(),
-		CkptForks:          s.ckptForks.Load(),
-		CkptWarmups:        s.ckpts.misses.Load(),
-		CkptDiskHits:       s.ckpts.diskHits.Load(),
-		StaticHits:         s.statics.hits.Load(),
-		StaticMisses:       s.statics.misses.Load(),
-		StaticUncacheable:  s.statics.uncacheable.Load(),
-		StaticCoalesced:    s.statics.coalesced.Load(),
-		BytesRead:          s.bytesRead.Load(),
-		BytesWritten:       s.bytesWritten.Load(),
+		RunHits:          s.runs.hits.Load(),
+		RunMisses:        s.runs.misses.Load(),
+		RunDiskHits:      s.runs.diskHits.Load(),
+		RunCoalesced:     s.runs.coalesced.Load(),
+		MeasureHits:      s.measures.hits.Load(),
+		MeasureMisses:    s.measures.misses.Load(),
+		MeasureDiskHits:  s.measures.diskHits.Load(),
+		MeasureCoalesced: s.measures.coalesced.Load(),
+		RecipeHits:       s.recipes.hits.Load(),
+		RecipeMisses:     s.recipes.misses.Load(),
+		RecipeDiskHits:   s.recipes.diskHits.Load(),
+		RecipeCoalesced:  s.recipes.coalesced.Load(),
+		CkptForks:        s.ckptForks.Load(),
+		CkptWarmups:      s.ckpts.misses.Load(),
+		CkptDiskHits:     s.ckpts.diskHits.Load(),
+		StaticHits:       s.statics.hits.Load(),
+		StaticMisses:     s.statics.misses.Load(),
+		StaticCoalesced:  s.statics.coalesced.Load(),
+		BytesRead:        s.bytesRead.Load(),
+		BytesWritten:     s.bytesWritten.Load(),
 	}
 }
 
-// DedupRatio is the fraction of cacheable requests served without
-// executing the simulator: (hits + coalesced + disk hits) / all
-// cacheable requests, across the run and measure levels. Recipes are
-// left out: a recipe miss measures through the measure level, which
-// counts it already. Zero when nothing was requested.
+// DedupRatio is the fraction of requests served without executing the
+// simulator: (hits + coalesced + disk hits) / all requests, across the
+// run and measure levels. Recipes are left out: a recipe miss measures
+// through the measure level, which counts it already. Zero when nothing
+// was requested.
 func (m Metrics) DedupRatio() float64 {
 	served := m.RunHits + m.RunCoalesced + m.RunDiskHits +
 		m.MeasureHits + m.MeasureCoalesced + m.MeasureDiskHits
@@ -317,41 +306,38 @@ func (m Metrics) DedupRatio() float64 {
 // samples /metrics before and after each phase).
 func (m Metrics) Sub(prev Metrics) Metrics {
 	return Metrics{
-		RunHits:            m.RunHits - prev.RunHits,
-		RunMisses:          m.RunMisses - prev.RunMisses,
-		RunDiskHits:        m.RunDiskHits - prev.RunDiskHits,
-		RunUncacheable:     m.RunUncacheable - prev.RunUncacheable,
-		RunCoalesced:       m.RunCoalesced - prev.RunCoalesced,
-		MeasureHits:        m.MeasureHits - prev.MeasureHits,
-		MeasureMisses:      m.MeasureMisses - prev.MeasureMisses,
-		MeasureDiskHits:    m.MeasureDiskHits - prev.MeasureDiskHits,
-		MeasureUncacheable: m.MeasureUncacheable - prev.MeasureUncacheable,
-		MeasureCoalesced:   m.MeasureCoalesced - prev.MeasureCoalesced,
-		RecipeHits:         m.RecipeHits - prev.RecipeHits,
-		RecipeMisses:       m.RecipeMisses - prev.RecipeMisses,
-		RecipeDiskHits:     m.RecipeDiskHits - prev.RecipeDiskHits,
-		RecipeCoalesced:    m.RecipeCoalesced - prev.RecipeCoalesced,
-		CkptForks:          m.CkptForks - prev.CkptForks,
-		CkptWarmups:        m.CkptWarmups - prev.CkptWarmups,
-		CkptDiskHits:       m.CkptDiskHits - prev.CkptDiskHits,
-		StaticHits:         m.StaticHits - prev.StaticHits,
-		StaticMisses:       m.StaticMisses - prev.StaticMisses,
-		StaticUncacheable:  m.StaticUncacheable - prev.StaticUncacheable,
-		StaticCoalesced:    m.StaticCoalesced - prev.StaticCoalesced,
-		BytesRead:          m.BytesRead - prev.BytesRead,
-		BytesWritten:       m.BytesWritten - prev.BytesWritten,
+		RunHits:          m.RunHits - prev.RunHits,
+		RunMisses:        m.RunMisses - prev.RunMisses,
+		RunDiskHits:      m.RunDiskHits - prev.RunDiskHits,
+		RunCoalesced:     m.RunCoalesced - prev.RunCoalesced,
+		MeasureHits:      m.MeasureHits - prev.MeasureHits,
+		MeasureMisses:    m.MeasureMisses - prev.MeasureMisses,
+		MeasureDiskHits:  m.MeasureDiskHits - prev.MeasureDiskHits,
+		MeasureCoalesced: m.MeasureCoalesced - prev.MeasureCoalesced,
+		RecipeHits:       m.RecipeHits - prev.RecipeHits,
+		RecipeMisses:     m.RecipeMisses - prev.RecipeMisses,
+		RecipeDiskHits:   m.RecipeDiskHits - prev.RecipeDiskHits,
+		RecipeCoalesced:  m.RecipeCoalesced - prev.RecipeCoalesced,
+		CkptForks:        m.CkptForks - prev.CkptForks,
+		CkptWarmups:      m.CkptWarmups - prev.CkptWarmups,
+		CkptDiskHits:     m.CkptDiskHits - prev.CkptDiskHits,
+		StaticHits:       m.StaticHits - prev.StaticHits,
+		StaticMisses:     m.StaticMisses - prev.StaticMisses,
+		StaticCoalesced:  m.StaticCoalesced - prev.StaticCoalesced,
+		BytesRead:        m.BytesRead - prev.BytesRead,
+		BytesWritten:     m.BytesWritten - prev.BytesWritten,
 	}
 }
 
 // String renders the one-line report cmd/figures prints to stderr.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | measures %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | recipes %d hit / %d coalesced / %d disk / %d miss | ckpt %d fork / %d warmup / %d disk | static %d hit / %d coalesced / %d miss / %d uncacheable | %d B read, %d B written | dedup %.1f%%",
-		m.RunHits, m.RunCoalesced, m.RunDiskHits, m.RunMisses, m.RunUncacheable,
-		m.MeasureHits, m.MeasureCoalesced, m.MeasureDiskHits, m.MeasureMisses, m.MeasureUncacheable,
+		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss | measures %d hit / %d coalesced / %d disk / %d miss | recipes %d hit / %d coalesced / %d disk / %d miss | ckpt %d fork / %d warmup / %d disk | static %d hit / %d coalesced / %d miss | %d B read, %d B written | dedup %.1f%%",
+		m.RunHits, m.RunCoalesced, m.RunDiskHits, m.RunMisses,
+		m.MeasureHits, m.MeasureCoalesced, m.MeasureDiskHits, m.MeasureMisses,
 		m.RecipeHits, m.RecipeCoalesced, m.RecipeDiskHits, m.RecipeMisses,
 		m.CkptForks, m.CkptWarmups, m.CkptDiskHits,
-		m.StaticHits, m.StaticCoalesced, m.StaticMisses, m.StaticUncacheable,
+		m.StaticHits, m.StaticCoalesced, m.StaticMisses,
 		m.BytesRead, m.BytesWritten, 100*m.DedupRatio())
 }
 

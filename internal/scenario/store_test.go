@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -182,26 +183,37 @@ func TestRunStatsSingleflight(t *testing.T) {
 	}
 }
 
-// TestUncacheableCountsAndExecutes: a device without a key bypasses the
-// cache every time — two requests, two executions, zero sharing.
-func TestUncacheableCountsAndExecutes(t *testing.T) {
-	s := newTestStore(t, "")
-	spec := accelSpec(t)
-	spec.DeviceKey = ""
-	a, err := s.RunStats(spec)
-	if err != nil {
-		t.Fatal(err)
+// TestRunStatsRejectsKeylessDevice: a device without a key is an error
+// at every store state — nil, memory and disk — and nothing runs, is
+// counted or is written for it.
+func TestRunStatsRejectsKeylessDevice(t *testing.T) {
+	dir := t.TempDir()
+	for name, s := range map[string]*Store{
+		"nil":    nil,
+		"memory": newTestStore(t, ""),
+		"disk":   newTestStore(t, dir),
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec := accelSpec(t)
+			built := 0
+			newDevice := spec.NewDevice
+			spec.NewDevice = func() isa.AccelDevice { built++; return newDevice() }
+			spec.DeviceKey = ""
+			for i := 0; i < 2; i++ {
+				if _, err := s.RunStats(spec); err == nil || !strings.Contains(err.Error(), "DeviceKey") {
+					t.Fatalf("call %d: err %v, want the DeviceKey error", i, err)
+				}
+			}
+			if built != 0 {
+				t.Errorf("a keyless spec built its device %d times", built)
+			}
+			if m := s.Metrics(); m != (Metrics{}) {
+				t.Errorf("a keyless spec was counted: %+v", m)
+			}
+		})
 	}
-	b, err := s.RunStats(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("uncacheable runs of the same spec should still be deterministic")
-	}
-	m := s.Metrics()
-	if m.RunUncacheable != 2 || m.RunHits != 0 || m.RunMisses != 0 {
-		t.Errorf("metrics: %+v, want 2 uncacheable and nothing cached", m)
+	if n := len(blobFiles(t, dir, "")); n != 0 {
+		t.Errorf("a keyless spec left %d blobs on disk", n)
 	}
 }
 

@@ -30,20 +30,14 @@ type Options struct {
 	// QueueDepth bounds the admission queue (<= 0 selects 4x workers).
 	// A full queue rejects with HTTP 503 — backpressure, not buffering.
 	QueueDepth int
-	// MeasureParallel is the fan-out width of the five constituent runs
-	// inside one measure job (<= 0 selects 1). The default keeps one
-	// admitted job on one worker; cross-request parallelism comes from
-	// the pool.
-	MeasureParallel int
 }
 
 // Server coalesces, schedules, and executes scenario submissions. Its
 // handler is safe for arbitrary concurrency; every mutable structure
 // is either lock-guarded or atomic.
 type Server struct {
-	store           *scenario.Store
-	pool            *runner.Pool
-	measureParallel int
+	store *scenario.Store
+	pool  *runner.Pool
 
 	mu sync.Mutex
 	// calls coalesces identical in-flight requests across clients: one
@@ -60,8 +54,6 @@ type Server struct {
 	// like the store's memory levels, and nothing evicts from it.
 	wlMu      sync.Mutex
 	workloads map[string]*wlEntry
-
-	uncacheableSeq atomic.Int64
 
 	reqRun     atomic.Int64
 	reqMeasure atomic.Int64
@@ -121,17 +113,12 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	mp := opts.MeasureParallel
-	if mp <= 0 {
-		mp = 1
-	}
 	return &Server{
-		store:           store,
-		pool:            runner.NewPool(opts.Workers, opts.QueueDepth),
-		measureParallel: mp,
-		calls:           make(map[string]*call),
-		families:        make(map[scenario.Digest]*family),
-		workloads:       make(map[string]*wlEntry),
+		store:     store,
+		pool:      runner.NewPool(opts.Workers, opts.QueueDepth),
+		calls:     make(map[string]*call),
+		families:  make(map[scenario.Digest]*family),
+		workloads: make(map[string]*wlEntry),
 	}, nil
 }
 
@@ -189,13 +176,22 @@ func (s *Server) admit(key string, priority int, fam scenario.Digest, hasFam boo
 		}
 		s.mu.Lock()
 		if c.abandoned {
+			// Out of the map under the lock that decided the skip, so a
+			// duplicate arriving now starts a fresh call instead of
+			// joining this one and inheriting its context.Canceled.
+			delete(s.calls, key)
 			s.mu.Unlock()
 			s.finish(c, func() { c.err = context.Canceled })
 			return
 		}
 		c.started = true
 		s.mu.Unlock()
-		s.finish(c, func() { run(c) })
+		s.finish(c, func() {
+			run(c)
+			if c.err != nil {
+				s.errored.Add(1)
+			}
+		})
 	}
 
 	// Warmup-family batching: the first job of a cold family goes
@@ -221,25 +217,27 @@ func (s *Server) admit(key string, priority int, fam scenario.Digest, hasFam boo
 	s.mu.Unlock()
 
 	if err := s.pool.Submit(priority, job); err != nil {
-		s.mu.Lock()
-		delete(s.calls, key)
-		s.mu.Unlock()
+		// Complete the call with the rejection: that releases any
+		// duplicate that joined it since the unlock, and flushes the
+		// family it may lead, which would otherwise park every later
+		// member for good.
 		s.rejected.Add(1)
+		s.finish(c, func() { c.err = err })
 		return nil, false, err
 	}
 	return c, false, nil
 }
 
 // finish publishes a call's result: run the fill closure, take the
-// call out of the coalescing map, release waiters, and flush any jobs
-// parked on its warmup family.
+// call out of the coalescing map unless a fresh call under its key has
+// replaced it, release waiters, and flush any jobs parked on its warmup
+// family.
 func (s *Server) finish(c *call, fill func()) {
 	fill()
-	if c.err != nil && !errors.Is(c.err, errShutdown) && !errors.Is(c.err, context.Canceled) {
-		s.errored.Add(1)
-	}
 	s.mu.Lock()
-	delete(s.calls, c.key)
+	if s.calls[c.key] == c {
+		delete(s.calls, c.key)
+	}
 	var flush []parkedJob
 	if c.hasFam {
 		if f := s.families[c.fam]; f != nil && !f.ready {
@@ -407,17 +405,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var key, digest string
-	if spec.Cacheable() {
-		digest = spec.Digest().String()
-		key = "run:" + digest
-	} else {
-		// Uncacheable work never coalesces; give it a unique key so it
-		// still flows through admission control.
-		key = fmt.Sprintf("run-uncacheable:%d", s.uncacheableSeq.Add(1))
-	}
+	digest := spec.Digest().String()
 	fam, hasFam := s.store.WarmupFamily(spec)
-	c, joined, err := s.admit(key, req.Priority, fam, hasFam, func(c *call) {
+	c, joined, err := s.admit("run:"+digest, req.Priority, fam, hasFam, func(c *call) {
 		c.stats, c.err = s.store.RunStats(spec)
 	})
 	if err != nil {
@@ -429,7 +419,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.err != nil {
-		writeError(w, http.StatusUnprocessableEntity, c.err)
+		writeError(w, callStatus(c.err), c.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, RunResponse{Stats: c.stats, Digest: digest, Coalesced: joined})
@@ -453,13 +443,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var key, digest string
-	if mspec.Cacheable() {
-		digest = mspec.Digest().String()
-		key = "measure:" + digest
-	} else {
-		key = fmt.Sprintf("measure-uncacheable:%d", s.uncacheableSeq.Add(1))
-	}
+	digest := mspec.Digest().String()
 	// The measure's five runs share the accelerated spec's warmup
 	// family; gate the whole job on it so a fleet-submitted sweep warms
 	// once before fanning out.
@@ -470,8 +454,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		DeviceKey: wl.DeviceKey,
 		MaxCycles: DefaultMaxCycles,
 	})
-	c, joined, err := s.admit(key, req.Priority, fam, hasFam, func(c *call) {
-		res, err := experiments.MeasureWorkloadStore(s.store, req.Config, wl, s.measureParallel)
+	// One admitted job runs its five constituent runs serially on one
+	// worker; cross-request parallelism comes from the pool.
+	c, joined, err := s.admit("measure:"+digest, req.Priority, fam, hasFam, func(c *call) {
+		res, err := experiments.MeasureWorkloadStore(s.store, req.Config, wl, 1)
 		if err != nil {
 			c.err = err
 			return
@@ -487,7 +473,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.err != nil {
-		writeError(w, http.StatusUnprocessableEntity, c.err)
+		writeError(w, callStatus(c.err), c.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, MeasureResponse{Record: c.rec, Digest: digest, Coalesced: joined})
@@ -510,10 +496,7 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var digest string
-	if mspec.Cacheable() {
-		digest = mspec.Digest().String()
-	}
+	digest := mspec.Digest().String()
 	// Static predictions cost microseconds — served inline, no queue.
 	pred, err := experiments.StaticPredictWorkloadStore(s.store, req.Config, wl)
 	if err != nil {
@@ -527,6 +510,16 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 // the result was ready (499 in nginx tradition; the client has usually
 // stopped listening by then anyway).
 const statusClientGone = 499
+
+// callStatus is the reply status of a call that completed with err: 503
+// when the pool refused it (a duplicate that joined a rejected call gets
+// the rejection too), 422 when its work failed.
+func callStatus(err error) int {
+	if errors.Is(err, runner.ErrQueueFull) || errors.Is(err, runner.ErrPoolClosed) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusUnprocessableEntity
+}
 
 // ServerMetrics counts server-level request handling. Coalesced here
 // means "joined another client's in-flight call" — the cross-client

@@ -178,7 +178,7 @@ func TestStaticMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.StaticPredictWorkload(req.Config, wl)
+	want, err := experiments.StaticPredictWorkloadStore(nil, req.Config, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -145,6 +147,44 @@ func TestFamilyParking(t *testing.T) {
 	}
 }
 
+// TestRejectedFamilyLeaderReleasesFamily: a family leader that the full
+// queue rejects completes like any call, so it flushes its family
+// instead of leaving it warming for good: the next member schedules
+// straight away rather than parking behind a leader that never runs.
+// The rejection counts once, in rejected, and not in errored.
+func TestRejectedFamilyLeaderReleasesFamily(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	release := wedge(t, s, "wedge")
+	fill, _, err := s.admit("fill", 0, scenario.Digest{}, false, func(*call) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := scenario.Digest{2}
+	if _, _, err := s.admit("lead", 0, fam, true, func(*call) { t.Error("the rejected leader ran") }); !errors.Is(err, runner.ErrQueueFull) {
+		t.Fatalf("leader: err %v, want ErrQueueFull", err)
+	}
+	release()
+	<-fill.done
+
+	ran := make(chan struct{})
+	c, _, err := s.admit("next", 0, fam, true, func(*call) { close(ran) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.parked.Load(); got != 0 {
+		t.Fatalf("parked = %d, want 0: the family still waits on its rejected leader", got)
+	}
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the next family member never ran")
+	}
+	<-c.done
+	if r, e := s.rejected.Load(), s.errored.Load(); r != 1 || e != 0 {
+		t.Errorf("rejected = %d, errored = %d, want 1 and 0", r, e)
+	}
+}
+
 // TestAbandonedCallSkipsExecution: when every waiter leaves before the
 // job reaches a worker, the worker completes it without running the
 // work.
@@ -194,6 +234,49 @@ func TestAbandonedCallRevivedByNewWaiter(t *testing.T) {
 	}
 	if c1.err != nil {
 		t.Fatal(c1.err)
+	}
+}
+
+// TestSkippedCallNotJoined: a duplicate arriving just as the worker
+// decides to skip an abandoned call must not join it and inherit its
+// context.Canceled; it either revives the call before the decision or
+// starts a fresh one after it. Each round frees the wedged worker onto
+// an abandoned call and admits the duplicate after a busy-wait that
+// sweeps 0-20µs in 20ns steps, across the worker's decision.
+func TestSkippedCallNotJoined(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	bad := 0
+	for i := 0; i < 3000; i++ {
+		block, started := make(chan struct{}), make(chan struct{})
+		w, _, err := s.admit(fmt.Sprintf("wedge%d", i), 0, scenario.Digest{}, false, func(*call) {
+			close(started)
+			<-block
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		c, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.leave(c)
+		close(block)
+		for start, d := time.Now(), time.Duration(i%1000)*20*time.Nanosecond; time.Since(start) < d; {
+		}
+		dup, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-w.done
+		<-c.done
+		<-dup.done
+		if errors.Is(dup.err, context.Canceled) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of 3000 duplicates joined a skipped call and got context.Canceled", bad)
 	}
 }
 

@@ -52,7 +52,7 @@ type RunRequest struct {
 }
 
 // RunResponse carries the run's Stats. Digest is the scenario content
-// address the result is cached under ("" for uncacheable specs);
+// address the result is cached under, set on every response;
 // Coalesced reports that this request joined an execution or queue
 // entry another client started.
 type RunResponse struct {

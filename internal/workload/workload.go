@@ -49,9 +49,10 @@ type Workload struct {
 
 	// DeviceKey canonically describes the device NewDevice builds: two
 	// workloads with equal keys must produce behaviorally identical
-	// devices. The scenario layer folds it into run digests; a workload
-	// with a device but no key is treated as uncacheable (never as
-	// wrongly shared). Generators in this package always set it.
+	// devices. The scenario layer folds it into run digests, so a
+	// workload with a device but no key fails Validate rather than risk
+	// a result shared between unidentified devices. Generators in this
+	// package always set it.
 	DeviceKey string
 
 	// AccelLatency, when positive, is the known per-invocation device
@@ -115,6 +116,9 @@ func (w *Workload) Validate() error {
 	}
 	if err := w.Counts().Validate(); err != nil {
 		return fmt.Errorf("workload %s: %w", w.Name, err)
+	}
+	if w.NewDevice != nil && w.DeviceKey == "" {
+		return fmt.Errorf("workload %s: device without a DeviceKey", w.Name)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -288,6 +289,26 @@ func TestWorkloadValidateRejectsInvalidLiteral(t *testing.T) {
 		if err := badAccel.Validate(); err == nil {
 			t.Errorf("%s: invalid accelerated program accepted", name)
 		}
+	}
+}
+
+// TestWorkloadValidateRejectsKeylessDevice: a device without a
+// DeviceKey has no identity the scenario store could key results by, so
+// such a workload is invalid; one without a device needs no key.
+func TestWorkloadValidateRejectsKeylessDevice(t *testing.T) {
+	good, err := Synthetic(SyntheticConfig{Units: 50, UnitLen: 20, Regions: 10, RegionLen: 30, AccelLatency: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyless := *good
+	keyless.DeviceKey = ""
+	if err := keyless.Validate(); err == nil || !strings.Contains(err.Error(), "DeviceKey") {
+		t.Errorf("keyless device: err %v, want the DeviceKey error", err)
+	}
+	deviceless := keyless
+	deviceless.NewDevice = nil
+	if err := deviceless.Validate(); err != nil {
+		t.Errorf("workload without a device rejected: %v", err)
 	}
 }
 
