@@ -185,6 +185,21 @@ func TestRejectedFamilyLeaderReleasesFamily(t *testing.T) {
 	}
 }
 
+// TestCallStatus: a duplicate that joined a call the pool refused gets
+// the rejection as a 503, like the caller the pool refused, so a client
+// backs off and resubmits; a failure of the work itself stays a 422.
+func TestCallStatus(t *testing.T) {
+	for err, want := range map[error]int{
+		runner.ErrQueueFull:            http.StatusServiceUnavailable,
+		runner.ErrPoolClosed:           http.StatusServiceUnavailable,
+		errors.New("simulation error"): http.StatusUnprocessableEntity,
+	} {
+		if got := callStatus(err); got != want {
+			t.Errorf("callStatus(%v) = %d, want %d", err, got, want)
+		}
+	}
+}
+
 // TestAbandonedCallSkipsExecution: when every waiter leaves before the
 // job reaches a worker, the worker completes it without running the
 // work.
@@ -240,13 +255,16 @@ func TestAbandonedCallRevivedByNewWaiter(t *testing.T) {
 // TestSkippedCallNotJoined: a duplicate arriving just as the worker
 // decides to skip an abandoned call must not join it and inherit its
 // context.Canceled; it either revives the call before the decision or
-// starts a fresh one after it. Each round frees the wedged worker onto
-// an abandoned call and admits the duplicate after a busy-wait that
-// sweeps 0-20µs in 20ns steps, across the worker's decision.
+// starts a fresh one after it, and the skipped call's completion must
+// leave that fresh call in the coalescing map. Each round frees the
+// wedged worker onto an abandoned call and admits the duplicate after a
+// busy-wait that sweeps 0-20µs in 20ns steps, across the worker's
+// decision.
 func TestSkippedCallNotJoined(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
-	bad := 0
-	for i := 0; i < 3000; i++ {
+	const rounds = 10000
+	cancelled, lost := 0, 0
+	for i := 0; i < rounds; i++ {
 		block, started := make(chan struct{}), make(chan struct{})
 		w, _, err := s.admit(fmt.Sprintf("wedge%d", i), 0, scenario.Digest{}, false, func(*call) {
 			close(started)
@@ -264,19 +282,30 @@ func TestSkippedCallNotJoined(t *testing.T) {
 		close(block)
 		for start, d := time.Now(), time.Duration(i%1000)*20*time.Nanosecond; time.Since(start) < d; {
 		}
-		dup, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) {})
+		// A fresh duplicate holds its worker until checked, so it is
+		// still in the map when the skipped call has completed.
+		hold := make(chan struct{})
+		dup, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) { <-hold })
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-w.done
 		<-c.done
+		if dup != c {
+			s.mu.Lock()
+			if s.calls["x"] != dup {
+				lost++
+			}
+			s.mu.Unlock()
+		}
+		close(hold)
+		<-w.done
 		<-dup.done
 		if errors.Is(dup.err, context.Canceled) {
-			bad++
+			cancelled++
 		}
 	}
-	if bad > 0 {
-		t.Errorf("%d of 3000 duplicates joined a skipped call and got context.Canceled", bad)
+	if cancelled > 0 || lost > 0 {
+		t.Errorf("of %d duplicates, %d joined a skipped call and got context.Canceled, and %d fresh calls were dropped from the map by the skipped call's completion", rounds, cancelled, lost)
 	}
 }
 
