@@ -1,27 +1,32 @@
 // Command scenariod is the simulation daemon: a long-running HTTP/JSON
 // service that accepts scenario submissions from many clients and
 // serves them all out of one shared scenario store — coalescing
-// duplicate in-flight work across clients, batching same-warmup-family
-// jobs so a fleet-submitted sweep warms each checkpoint once, and
-// bounding concurrent execution with an admission queue that rejects
-// (HTTP 503) instead of buffering without limit.
+// duplicate in-flight work across clients, warming each checkpoint
+// family once for all its members, and bounding concurrent simulations
+// with -workers slots and a -queue-depth bound on the misses waiting
+// for one: a miss beyond it is refused (HTTP 503) instead of buffered
+// without limit, while a stored result is answered regardless.
 //
 // Usage:
 //
 //	scenariod [-addr HOST:PORT] [-cache-dir DIR] [-workers N] [-queue-depth N]
-//	          [-no-ckpt-fork] [-addr-file PATH]
+//	          [-addr-file PATH]
 //
-// -addr defaults to 127.0.0.1:8344; :0 picks a free port. -addr-file
-// writes the bound address to PATH once listening (how scripts and CI
-// discover a :0 port). -cache-dir persists results as content-addressed
-// blobs shared with cmd/figures — a daemon pointed at a warm figure
-// cache serves those sweeps without simulating.
+// -workers is the number of simulation slots: runs, warmups and forks
+// executing at once. -queue-depth bounds the misses waiting for a slot.
+// A request never holds a slot while it waits on a duplicate's run or
+// on its family's warmup. -addr defaults to 127.0.0.1:8344; :0 picks a
+// free port. -addr-file writes the bound address to PATH once listening
+// (how scripts and CI discover a :0 port). -cache-dir persists results
+// as content-addressed blobs shared with cmd/figures — a daemon pointed
+// at a warm figure cache serves those sweeps without simulating.
 //
 // Endpoints: POST /v1/run, /v1/measure, /v1/static; GET /metrics,
 // /healthz. See internal/serve for the wire structs and semantics.
 //
-// SIGINT/SIGTERM shut down gracefully: stop accepting, finish in-flight
-// simulations, fail queued-but-unstarted work.
+// SIGINT/SIGTERM shut down gracefully: stop accepting, let in-flight
+// requests finish (for up to 30 s), then refuse misses still waiting
+// for a slot and wait for the simulations still running.
 package main
 
 import (
@@ -54,9 +59,8 @@ func realMain() int {
 		addr       = flag.String("addr", "127.0.0.1:8344", "listen address (use :0 for a free port)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
 		cacheDir   = flag.String("cache-dir", "", "persistent blob cache directory (empty: memory only)")
-		workers    = flag.Int("workers", 0, "execution pool workers (0: GOMAXPROCS)")
-		queueDepth = flag.Int("queue-depth", 0, "admission queue bound (0: 4x workers)")
-		noCkptFork = flag.Bool("no-ckpt-fork", false, "disable warm-checkpoint forking (and with it warmup-family batching)")
+		workers    = flag.Int("workers", 0, "simulation slots (0: GOMAXPROCS)")
+		queueDepth = flag.Int("queue-depth", 0, "misses waiting for a slot before 503 (0: 4x workers)")
 	)
 	flag.Parse()
 
@@ -64,9 +68,6 @@ func realMain() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scenariod:", err)
 		return 1
-	}
-	if *noCkptFork {
-		store.DisableCheckpointForking()
 	}
 	srv, err := serve.New(serve.Options{
 		Store:      store,

@@ -2,7 +2,8 @@
 // shape of a sweep-submitting fleet: a duplicate-heavy phase (many
 // clients racing for few distinct specs — the cross-client coalescing
 // case), a checkpoint-share phase (distinct specs in one warmup family
-// — the batching case), and a cold-miss phase (the overhead floor).
+// — the checkpoint-sharing case: one warmup, a fork per member), and a
+// cold-miss phase (the overhead floor).
 // It reports per-phase throughput, latency percentiles, and the
 // daemon store's hit/coalesce/miss deltas.
 //

@@ -4,175 +4,203 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
+// hold occupies one of g's slots until the returned release func runs.
+func hold(t *testing.T, g *Gate) (release func()) {
+	t.Helper()
+	started, block, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := g.Do(func() {
+			close(started)
+			<-block
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+	return func() {
+		close(block)
+		<-done
+	}
+}
+
+// waitQueue blocks until n callers wait for a slot of g.
+func waitQueue(t *testing.T, g *Gate, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); g.Metrics().QueueLen != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue length %d, want %d", g.Metrics().QueueLen, n)
+		}
+	}
+}
+
+// within runs f and fails the test if f has not returned after ten
+// seconds, so a gate that loses a slot or never refuses fails instead
+// of hanging.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still blocked after 10s", what)
+	}
+}
+
+// TestPoolExecutesAll: every caller's job runs, and never more than the
+// slot count at once.
 func TestPoolExecutesAll(t *testing.T) {
-	p := NewPool(4, 0)
-	var n atomic.Int64
+	g := NewGate(4, 100)
+	var running, peak, n atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
-		// SubmitAdmitted so the test never races the queue bound.
-		if err := p.SubmitAdmitted(0, func(cancelled bool) {
+		go func() {
 			defer wg.Done()
-			if !cancelled {
+			if err := g.Do(func() {
+				now := running.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				time.Sleep(100 * time.Microsecond)
+				running.Add(-1)
 				n.Add(1)
+			}); err != nil {
+				t.Error(err)
 			}
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}()
 	}
-	wg.Wait()
-	p.Close()
+	within(t, "the callers", wg.Wait)
+	g.Close()
 	if got := n.Load(); got != 100 {
 		t.Fatalf("executed %d of 100 jobs", got)
 	}
-	m := p.Metrics()
-	if m.Submitted != 100 || m.Executed != 100 || m.Cancelled != 0 {
+	if p := peak.Load(); p > 4 {
+		t.Fatalf("%d jobs ran at once on 4 slots", p)
+	}
+	if m := g.Metrics(); m.Executed != 100 || m.Rejected != 0 || m.Cancelled != 0 || m.QueueLen != 0 {
 		t.Fatalf("metrics %+v", m)
 	}
 }
 
-// TestPoolQueueBound: with workers wedged, submissions past the depth
-// bound fail fast with ErrQueueFull and nothing blocks.
+// TestPoolQueueBound: with the only slot busy and depth callers
+// waiting, the next caller is refused at once and its job never runs;
+// the waiters take the freed slot in arrival order.
 func TestPoolQueueBound(t *testing.T) {
-	p := NewPool(1, 2)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	if err := p.Submit(0, func(cancelled bool) {
-		if !cancelled {
-			close(started)
-			<-release
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started // worker occupied; queue now empty
-
-	for i := 0; i < 2; i++ {
-		if err := p.Submit(0, func(bool) {}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	if err := p.Submit(0, func(bool) {}); err != ErrQueueFull {
-		t.Fatalf("over-depth Submit: got %v, want ErrQueueFull", err)
-	}
-	// Parked-work resubmission bypasses the bound.
-	if err := p.SubmitAdmitted(0, func(bool) {}); err != nil {
-		t.Fatalf("SubmitAdmitted: %v", err)
-	}
-	close(release)
-	p.Close()
-	if m := p.Metrics(); m.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", m.Rejected)
-	}
-}
-
-// TestPoolPriorityFIFO: a single wedged worker, then a batch of queued
-// jobs — they must drain in priority order, FIFO within a priority.
-func TestPoolPriorityFIFO(t *testing.T) {
-	p := NewPool(1, 8)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	if err := p.Submit(0, func(cancelled bool) {
-		if !cancelled {
-			close(started)
-			<-release
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
+	g := NewGate(1, 2)
+	release := hold(t, g)
 
 	var mu sync.Mutex
 	var order []int
 	var wg sync.WaitGroup
-	enqueue := func(id, prio int) {
+	for i := 1; i <= 2; i++ {
 		wg.Add(1)
-		if err := p.Submit(prio, func(cancelled bool) {
+		go func() {
 			defer wg.Done()
-			if cancelled {
-				return
+			if err := g.Do(func() {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			}); err != nil {
+				t.Error(err)
 			}
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}()
+		waitQueue(t, g, i)
 	}
-	// Submission order: low, high, low, high, low.
-	enqueue(1, 0)
-	enqueue(2, 5)
-	enqueue(3, 0)
-	enqueue(4, 5)
-	enqueue(5, 0)
-	close(release)
-	wg.Wait()
-	p.Close()
-
-	want := []int{2, 4, 1, 3, 5}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
+	var err error
+	within(t, "the over-depth caller", func() { err = g.Do(func() { t.Error("the refused job ran") }) })
+	if err != ErrQueueFull || !Refused(err) {
+		t.Fatalf("over-depth Do: got %v, want ErrQueueFull", err)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
+	release()
+	within(t, "the waiters", wg.Wait)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Errorf("waiters ran in order %v, want [1 2]", order)
+	}
+	if m := g.Metrics(); m.Rejected != 1 || m.Executed != 3 || m.QueuePeak != 2 || m.QueueDepth != 2 {
+		t.Fatalf("metrics %+v, want 1 rejected, 3 executed, queue peak 2 of 2", m)
 	}
 }
 
-// TestPoolCloseCancelsQueued: queued-but-unstarted jobs complete with
-// cancelled=true; Close waits for everything.
+// TestPoolCloseCancelsQueued: Close refuses every waiter with
+// ErrPoolClosed without running its job, and returns only once the
+// running job has ended; later callers are refused too.
 func TestPoolCloseCancelsQueued(t *testing.T) {
-	p := NewPool(1, 8)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	p.Submit(0, func(cancelled bool) {
-		if !cancelled {
-			close(started)
-			<-release
-		}
-	})
-	<-started
+	g := NewGate(1, 8)
+	release := hold(t, g)
 
-	var ran, cancelled atomic.Int64
+	errs := make(chan error, 5)
 	for i := 0; i < 5; i++ {
-		if err := p.Submit(0, func(c bool) {
-			if c {
-				cancelled.Add(1)
-			} else {
-				ran.Add(1)
-			}
-		}); err != nil {
-			t.Fatal(err)
+		go func() { errs <- g.Do(func() { t.Error("a waiter ran after Close") }) }()
+	}
+	waitQueue(t, g, 5)
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	for i := 0; i < 5; i++ {
+		if err := <-errs; err != ErrPoolClosed || !Refused(err) {
+			t.Errorf("waiter: got %v, want ErrPoolClosed", err)
 		}
 	}
-	done := make(chan struct{})
-	go func() {
-		p.Close()
-		close(done)
-	}()
-	close(release)
-	<-done
-
-	// The wedged job plus whatever the worker dequeued before Close
-	// snapshotted the queue ran normally; the rest were cancelled.
-	if total := ran.Load() + cancelled.Load(); total != 5 {
-		t.Fatalf("ran %d + cancelled %d != 5", ran.Load(), cancelled.Load())
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was still running")
+	case <-time.After(20 * time.Millisecond):
 	}
-	if err := p.Submit(0, func(bool) {}); err != ErrPoolClosed {
-		t.Fatalf("post-Close Submit: got %v, want ErrPoolClosed", err)
+	release()
+	within(t, "Close", func() { <-closed })
+	if m := g.Metrics(); m.Cancelled != 5 || m.Executed != 1 || m.QueueLen != 0 {
+		t.Errorf("metrics %+v, want 5 cancelled and 1 executed", m)
 	}
-	if err := p.SubmitAdmitted(0, func(bool) {}); err != ErrPoolClosed {
-		t.Fatalf("post-Close SubmitAdmitted: got %v, want ErrPoolClosed", err)
+	if err := g.Do(func() { t.Error("a job ran after Close") }); err != ErrPoolClosed {
+		t.Fatalf("post-Close Do: got %v, want ErrPoolClosed", err)
 	}
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2, 0)
-	p.Close()
-	p.Close()
+	g := NewGate(2, 0)
+	g.Close()
+	g.Close()
+}
+
+// TestGateNilRunsInline: a nil gate runs the job at once on the
+// caller's goroutine.
+func TestGateNilRunsInline(t *testing.T) {
+	var g *Gate
+	ran := false
+	if err := g.Do(func() { ran = true }); err != nil || !ran {
+		t.Fatalf("nil gate: err %v, ran %v", err, ran)
+	}
+}
+
+// TestGatePanicFreesSlot: a panicking job frees its slot and the panic
+// reaches the caller.
+func TestGatePanicFreesSlot(t *testing.T) {
+	g := NewGate(1, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panic did not reach the caller")
+			}
+		}()
+		g.Do(func() { panic("device bug") })
+	}()
+	done := make(chan error, 1)
+	go func() { done <- g.Do(func() {}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the panicking job kept its slot")
+	}
 }

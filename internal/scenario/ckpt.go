@@ -44,20 +44,6 @@ func (sp Spec) warmupDigest() Digest {
 	return e.sum()
 }
 
-// WarmupFamily returns the digest grouping specs that share a warm
-// checkpoint in this store, and whether the spec participates in
-// forking at all (forking enabled and spec statically forkable).
-// scenariod's scheduler uses it to batch compatible jobs: parking the
-// rest of a family until its first member has produced the shared
-// checkpoint keeps a burst of identical sweeps from pinning every
-// worker on one singleflighted warmup. The spec must be valid.
-func (s *Store) WarmupFamily(sp Spec) (Digest, bool) {
-	if s == nil || s.noCkptFork || !sp.forkable() {
-		return Digest{}, false
-	}
-	return sp.warmupDigest(), true
-}
-
 // forkable reports whether the warm-checkpoint path can apply at all:
 // the program must invoke an accelerator (otherwise there is no warmup
 // boundary to pause at) through a constructible device, and the prefix

@@ -12,6 +12,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/isa"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // warmupHeavySpec builds a spec whose program spins a long scalar
@@ -319,5 +320,35 @@ func TestCorruptCheckpointFrameFallsBack(t *testing.T) {
 	}
 	if m := s.Metrics(); m.CkptDiskHits != 1 || m.CkptWarmups != 0 || m.CkptForks != 0 {
 		t.Errorf("%d disk hits / %d warmups / %d forks, want 1 / 0 / 0", m.CkptDiskHits, m.CkptWarmups, m.CkptForks)
+	}
+}
+
+// TestGoldenWarmupDigest pins the warmup-family digest of a heap
+// workload with a scalar warmup phase. The store keys checkpoint blobs
+// on it, so a move here orphans every cached warm checkpoint. The pin
+// reads the digest itself: this spec's probe pauses below
+// minForkCycles, so no checkpoint blob is ever written under it.
+func TestGoldenWarmupDigest(t *testing.T) {
+	const want = "ba483d486c7ed8d912c5db229496292f7b0637cd92d1a3c020163facedbb4f04"
+	w, err := workload.Heap(workload.HeapConfig{
+		Operations: 40, FillerPerCall: 10, Prefill: 512, Seed: 1, WarmupFiller: 4000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.HighPerfConfig()
+	cfg.Mode = accel.LT
+	spec := Spec{
+		Config:    cfg,
+		Program:   w.Accelerated,
+		NewDevice: w.NewDevice,
+		DeviceKey: w.DeviceKey,
+		MaxCycles: 4_000_000_000,
+	}
+	if !spec.forkable() {
+		t.Fatal("heap spec with a warmup phase does not fork")
+	}
+	if got := spec.warmupDigest().String(); got != want {
+		t.Errorf("warmup-family digest %s, want %s", got, want)
 	}
 }

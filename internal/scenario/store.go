@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accel"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/staticmodel"
 	"repro/internal/workload"
@@ -33,10 +34,14 @@ import (
 // when its record is gone and the rebuilt workload digests differently
 // (see MeasureRecipe). Run errors are cached in memory for the process
 // lifetime (the spec is deterministic, so retrying cannot help) but
-// never written to disk.
+// never written to disk. A gate refusal is not a result and is never
+// cached (see SetGate).
 type Store struct {
 	dir        string
 	noCkptFork bool
+	// gate bounds the simulations running at once; nil runs each at
+	// once on its caller's goroutine (see SetGate).
+	gate *runner.Gate
 
 	runs     level[sim.Stats]
 	measures level[MeasureRecord]
@@ -82,6 +87,10 @@ type entry[T any] struct {
 // memory-only level. A panic while producing the result is recorded as
 // the entry's error and re-raised: the panicking caller unwinds, every
 // later caller gets the error, and nothing is written.
+//
+// A compute that a gate refused (runner.Refused) produced no result:
+// every caller of the entry gets the refusal, nothing is counted, and
+// the entry leaves the map so that the next caller computes afresh.
 func (l *level[T]) get(d Digest, load func() (T, bool), compute func() (T, error), save func(T)) (T, error) {
 	l.mu.Lock()
 	if l.entries == nil {
@@ -117,13 +126,23 @@ func (l *level[T]) get(d Digest, load func() (T, bool), compute func() (T, error
 				return
 			}
 		}
-		l.misses.Add(1)
-		e.val, e.err = compute()
+		e.val, e.err = l.miss(compute)
 		if e.err == nil && save != nil {
 			save(e.val)
 		}
 	})
 	e.done.Store(true)
+	if runner.Refused(e.err) {
+		// Every caller of the entry takes it out, the one that computed
+		// and each that joined, whoever gets here first; a later caller
+		// may already have put a fresh entry under d, which must stay.
+		l.mu.Lock()
+		if l.entries[d] == e {
+			delete(l.entries, d)
+		}
+		l.mu.Unlock()
+		return e.val, e.err
+	}
 	if !ran {
 		if joined {
 			l.coalesced.Add(1)
@@ -132,6 +151,17 @@ func (l *level[T]) get(d Digest, load func() (T, bool), compute func() (T, error
 		}
 	}
 	return e.val, e.err
+}
+
+// miss runs compute and counts it as a miss, a panicking one included,
+// unless a gate refused it: a refused compute simulated nothing.
+func (l *level[T]) miss(compute func() (T, error)) (v T, err error) {
+	defer func() {
+		if !runner.Refused(err) {
+			l.misses.Add(1)
+		}
+	}()
+	return compute()
 }
 
 // NewStore returns a store. dir == "" keeps the cache in memory only;
@@ -152,6 +182,20 @@ func NewStore(dir string) (*Store, error) {
 func (s *Store) DisableCheckpointForking() {
 	if s != nil {
 		s.noCkptFork = true
+	}
+}
+
+// SetGate makes every simulation the store runs — a direct run, a
+// warmup, a fork off a warm checkpoint — take one of g's slots while it
+// runs (cmd/scenariod sets one; a store without a gate runs each at
+// once). A caller that waits on another caller's in-flight entry holds
+// no slot. The invariant: no code holds a slot while it calls the
+// store, so a slot is only ever waited for by code holding none, and
+// the slots cannot deadlock. A refused simulation fails its store call
+// with the refusal and caches nothing. Call before issuing work.
+func (s *Store) SetGate(g *runner.Gate) {
+	if s != nil {
+		s.gate = g
 	}
 }
 
@@ -200,21 +244,30 @@ func (s *Store) measureAt(d Digest, compute func() (MeasureRecord, error)) (Meas
 // fast path when its warmup family has a usable shared snapshot, with a
 // direct full run otherwise. Both paths produce bit-identical Stats
 // (the checkpoint differential suite in internal/sim enforces it), so
-// the cached result is path-independent.
-func (s *Store) computeRun(spec Spec) (sim.Stats, error) {
+// the cached result is path-independent. Each simulation takes a gate
+// slot only while it runs.
+func (s *Store) computeRun(spec Spec) (st sim.Stats, err error) {
 	if ck := s.warmCheckpoint(spec); ck != nil {
-		if st, err, ok := spec.resumeFrom(ck); ok {
+		ok := false
+		if gerr := s.gate.Do(func() { st, err, ok = spec.resumeFrom(ck) }); gerr != nil {
+			return sim.Stats{}, gerr
+		}
+		if ok {
 			s.ckptForks.Add(1)
 			return st, err
 		}
 	}
-	return spec.run()
+	if gerr := s.gate.Do(func() { st, err = spec.run() }); gerr != nil {
+		return sim.Stats{}, gerr
+	}
+	return st, err
 }
 
 // warmCheckpoint returns the spec's shared warm checkpoint, running the
 // warmup prefix (or loading its disk blob) on the family's first use.
-// nil means "run directly": forking disabled, spec unforkable, or the
-// family probed unforkable earlier.
+// nil means "run directly": forking disabled, spec unforkable, the
+// family probed unforkable earlier, or the gate refused the warmup,
+// which leaves the family unprobed.
 func (s *Store) warmCheckpoint(spec Spec) *sim.Checkpoint {
 	if s.noCkptFork || !spec.forkable() {
 		return nil
@@ -222,7 +275,10 @@ func (s *Store) warmCheckpoint(spec Spec) *sim.Checkpoint {
 	d := spec.warmupDigest()
 	ck, _ := s.ckpts.get(d,
 		func() (*sim.Checkpoint, bool) { return s.loadCkptBlob(d) },
-		func() (*sim.Checkpoint, error) { return spec.warmup(), nil },
+		func() (ck *sim.Checkpoint, err error) {
+			err = s.gate.Do(func() { ck = spec.warmup() })
+			return ck, err
+		},
 		func(ck *sim.Checkpoint) {
 			if ck != nil {
 				s.saveCkptBlob(d, ck)
@@ -248,8 +304,9 @@ type Metrics struct {
 	RecipeHits, RecipeMisses, RecipeDiskHits, RecipeCoalesced int64
 	// Checkpoint counters: Forks resumed from a shared warm snapshot,
 	// Warmups executed a warmup prefix to produce (or probe for) one,
-	// DiskHits loaded one from the blob directory.
-	CkptForks, CkptWarmups, CkptDiskHits int64
+	// DiskHits loaded one from the blob directory, Coalesced waited on a
+	// warmup another family member had in flight.
+	CkptForks, CkptWarmups, CkptDiskHits, CkptCoalesced int64
 	// Static-prediction counters (memory-only level, see
 	// Store.StaticPrediction).
 	StaticHits, StaticMisses, StaticCoalesced int64
@@ -278,6 +335,7 @@ func (s *Store) Metrics() Metrics {
 		CkptForks:        s.ckptForks.Load(),
 		CkptWarmups:      s.ckpts.misses.Load(),
 		CkptDiskHits:     s.ckpts.diskHits.Load(),
+		CkptCoalesced:    s.ckpts.coalesced.Load(),
 		StaticHits:       s.statics.hits.Load(),
 		StaticMisses:     s.statics.misses.Load(),
 		StaticCoalesced:  s.statics.coalesced.Load(),
@@ -321,6 +379,7 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 		CkptForks:        m.CkptForks - prev.CkptForks,
 		CkptWarmups:      m.CkptWarmups - prev.CkptWarmups,
 		CkptDiskHits:     m.CkptDiskHits - prev.CkptDiskHits,
+		CkptCoalesced:    m.CkptCoalesced - prev.CkptCoalesced,
 		StaticHits:       m.StaticHits - prev.StaticHits,
 		StaticMisses:     m.StaticMisses - prev.StaticMisses,
 		StaticCoalesced:  m.StaticCoalesced - prev.StaticCoalesced,
@@ -332,11 +391,11 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 // String renders the one-line report cmd/figures prints to stderr.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss | measures %d hit / %d coalesced / %d disk / %d miss | recipes %d hit / %d coalesced / %d disk / %d miss | ckpt %d fork / %d warmup / %d disk | static %d hit / %d coalesced / %d miss | %d B read, %d B written | dedup %.1f%%",
+		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss | measures %d hit / %d coalesced / %d disk / %d miss | recipes %d hit / %d coalesced / %d disk / %d miss | ckpt %d fork / %d warmup / %d coalesced / %d disk | static %d hit / %d coalesced / %d miss | %d B read, %d B written | dedup %.1f%%",
 		m.RunHits, m.RunCoalesced, m.RunDiskHits, m.RunMisses,
 		m.MeasureHits, m.MeasureCoalesced, m.MeasureDiskHits, m.MeasureMisses,
 		m.RecipeHits, m.RecipeCoalesced, m.RecipeDiskHits, m.RecipeMisses,
-		m.CkptForks, m.CkptWarmups, m.CkptDiskHits,
+		m.CkptForks, m.CkptWarmups, m.CkptCoalesced, m.CkptDiskHits,
 		m.StaticHits, m.StaticCoalesced, m.StaticMisses,
 		m.BytesRead, m.BytesWritten, 100*m.DedupRatio())
 }

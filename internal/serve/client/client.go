@@ -1,7 +1,7 @@
 // Package client is the thin typed client for a scenariod daemon: it
 // marshals the wire structs from internal/serve, posts them, and
 // decodes responses — no retries, no caching, no cleverness. Anything
-// smarter (deduplication, batching, checkpoint sharing) lives
+// smarter (deduplication, admission, checkpoint sharing) lives
 // server-side, which is the point of having a daemon.
 package client
 

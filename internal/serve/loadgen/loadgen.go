@@ -2,10 +2,10 @@
 // clients would, and measures what the service layer buys. It runs
 // three phases — duplicate-heavy (many clients, few distinct specs:
 // the coalescing case), checkpoint-share (distinct specs in one warmup
-// family: the batching case), and cold-miss (every request distinct:
-// the overhead floor) — and can replay the duplicate-heavy mix as
-// per-client direct execution (no daemon, no shared store) for an
-// aggregate-throughput comparison.
+// family: the checkpoint-sharing case, one warmup forked for every
+// member), and cold-miss (every request distinct: the overhead floor) —
+// and can replay the duplicate-heavy mix as per-client direct execution
+// (no daemon, no shared store) for an aggregate-throughput comparison.
 //
 // Wall-clock readings here are observability, never simulation inputs:
 // every result still comes out of the deterministic scenario layer.
@@ -82,8 +82,8 @@ type Phase struct {
 	Requests int
 	// Errors counts failed requests; Shed counts HTTP 503 backpressure
 	// rejections that were retried (and are not errors); Coalesced
-	// counts responses that report joining another client's in-flight
-	// call.
+	// counts requests that joined another client's in-flight run or
+	// measure, from the store delta.
 	Errors    int
 	Shed      int
 	Coalesced int
@@ -240,10 +240,9 @@ func (o Options) runPhase(ctx context.Context, name string, mix []serve.RunReque
 
 	nc := o.clients()
 	type outcome struct {
-		latency   time.Duration
-		shed      int
-		coalesced bool
-		err       error
+		latency time.Duration
+		shed    int
+		err     error
 	}
 	outcomes := make([]outcome, len(mix))
 	var wg sync.WaitGroup
@@ -255,17 +254,17 @@ func (o Options) runPhase(ctx context.Context, name string, mix []serve.RunReque
 			for i := c; i < len(mix); i += nc {
 				t0 := time.Now()
 				var oc outcome
-				// A 503 is the daemon's admission queue shedding load —
-				// expected under burst, so back off briefly and resubmit
+				// A 503 is the daemon's gate refusing a miss — expected
+				// under burst, so back off briefly and resubmit
 				// (bounded: a daemon that never admits is an error).
 				for attempt := 0; ; attempt++ {
-					resp, err := o.Client.Run(ctx, mix[i])
+					_, err := o.Client.Run(ctx, mix[i])
 					if err != nil && client.IsQueueFull(err) && attempt < 500 && ctx.Err() == nil {
 						oc.shed++
 						time.Sleep(2 * time.Millisecond)
 						continue
 					}
-					oc.latency, oc.coalesced, oc.err = time.Since(t0), resp.Coalesced, err
+					oc.latency, oc.err = time.Since(t0), err
 					break
 				}
 				outcomes[i] = oc
@@ -280,16 +279,14 @@ func (o Options) runPhase(ctx context.Context, name string, mix []serve.RunReque
 		return Phase{}, fmt.Errorf("loadgen: %s: %w", name, err)
 	}
 
-	p := Phase{Name: name, Requests: len(mix), Duration: dur, Store: after.Store.Sub(before.Store)}
+	d := after.Store.Sub(before.Store)
+	p := Phase{Name: name, Requests: len(mix), Duration: dur, Store: d, Coalesced: int(d.RunCoalesced + d.MeasureCoalesced)}
 	lat := make([]time.Duration, 0, len(mix))
 	for _, oc := range outcomes {
 		p.Shed += oc.shed
 		if oc.err != nil {
 			p.Errors++
 			continue
-		}
-		if oc.coalesced {
-			p.Coalesced++
 		}
 		lat = append(lat, oc.latency)
 	}

@@ -1,20 +1,16 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -25,27 +21,23 @@ type Options struct {
 	// shares its memory cache, disk blobs, singleflight, and warm
 	// checkpoints.
 	Store *scenario.Store
-	// Workers sizes the execution pool (<= 0 selects GOMAXPROCS).
+	// Workers is the number of simulation slots (<= 0 selects
+	// GOMAXPROCS): how many runs, warmups and forks execute at once.
 	Workers int
-	// QueueDepth bounds the admission queue (<= 0 selects 4x workers).
-	// A full queue rejects with HTTP 503 — backpressure, not buffering.
+	// QueueDepth bounds the misses waiting for a slot (<= 0 selects 4x
+	// workers). A miss that finds every slot busy and the queue full is
+	// answered 503 — backpressure, not buffering.
 	QueueDepth int
 }
 
-// Server coalesces, schedules, and executes scenario submissions. Its
-// handler is safe for arbitrary concurrency; every mutable structure
-// is either lock-guarded or atomic.
+// Server serves scenario submissions out of one store. Each handler
+// calls the store on its own request goroutine: the store coalesces
+// duplicates and gates simulations (scenario.Store.SetGate), so the
+// server keeps no scheduling state of its own. Its handler is safe for
+// arbitrary concurrency.
 type Server struct {
 	store *scenario.Store
-	pool  *runner.Pool
-
-	mu sync.Mutex
-	// calls coalesces identical in-flight requests across clients: one
-	// entry per (kind, digest) currently queued or executing. Completed
-	// calls leave the map — later duplicates become store memory hits.
-	calls map[string]*call
-	// families implements warmup batching (see admit).
-	families map[scenario.Digest]*family
+	gate  *runner.Gate
 
 	// workloads memoizes built workloads by canonical spec so duplicate
 	// submissions share one *workload.Workload: a repeat skips the
@@ -58,52 +50,11 @@ type Server struct {
 	reqRun     atomic.Int64
 	reqMeasure atomic.Int64
 	reqStatic  atomic.Int64
-	coalesced  atomic.Int64
 	rejected   atomic.Int64
-	abandoned  atomic.Int64
-	parked     atomic.Int64
 	errored    atomic.Int64
 }
 
-// call is one scheduled unit of work and the clients waiting on it.
-type call struct {
-	key string
-	// fam/hasFam tie the call to a warmup family for batching.
-	fam    scenario.Digest
-	hasFam bool
-
-	done chan struct{}
-
-	// waiters and abandoned are guarded by the server mutex. A call
-	// whose last waiter leaves before execution starts is abandoned:
-	// the worker (or Close) completes it without simulating. A new
-	// duplicate arriving before then revives it.
-	waiters   int
-	abandoned bool
-	started   bool
-
-	// Result fields are written once, before done closes.
-	stats sim.Stats
-	rec   scenario.MeasureRecord
-	err   error
-}
-
-// family tracks warmup-batching state for one checkpoint family.
-type family struct {
-	// ready flips when the family's first job has completed (and with
-	// it the shared warm checkpoint, or the knowledge that none is
-	// possible). Until then followers park in pending.
-	ready   bool
-	warming bool
-	pending []parkedJob
-}
-
-type parkedJob struct {
-	priority int
-	job      runner.PoolJob
-}
-
-// New builds a Server and starts its worker pool.
+// New builds a Server and gates its store's simulations.
 func New(opts Options) (*Server, error) {
 	store := opts.Store
 	if store == nil {
@@ -113,172 +64,18 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	return &Server{
-		store:     store,
-		pool:      runner.NewPool(opts.Workers, opts.QueueDepth),
-		calls:     make(map[string]*call),
-		families:  make(map[scenario.Digest]*family),
-		workloads: make(map[string]*wlEntry),
-	}, nil
+	gate := runner.NewGate(opts.Workers, opts.QueueDepth)
+	store.SetGate(gate)
+	return &Server{store: store, gate: gate, workloads: make(map[string]*wlEntry)}, nil
 }
 
 // Store exposes the daemon's shared store (for /metrics and tests).
 func (s *Server) Store() *scenario.Store { return s.store }
 
-// Close drains the pool. Queued-but-unstarted jobs complete with an
-// error; in-flight simulations finish.
-func (s *Server) Close() {
-	s.pool.Close()
-	// Parked jobs never reached the pool; fail them too.
-	s.mu.Lock()
-	fams := make([]scenario.Digest, 0, len(s.families))
-	for d := range s.families {
-		fams = append(fams, d)
-	}
-	sort.Slice(fams, func(i, j int) bool { return bytes.Compare(fams[i][:], fams[j][:]) < 0 })
-	var pending []parkedJob
-	for _, d := range fams {
-		f := s.families[d]
-		pending = append(pending, f.pending...)
-		f.pending = nil
-		f.ready = true
-	}
-	s.mu.Unlock()
-	for _, pj := range pending {
-		pj.job(true)
-	}
-}
-
-// errShutdown completes calls that were cancelled by Close.
-var errShutdown = errors.New("serve: server shutting down")
-
-// admit coalesces the request onto an existing in-flight call or
-// creates, gates, and enqueues a new one. run executes the work and
-// must fill the call's result fields. The returned joined flag reports
-// coalescing (for the response and the metrics).
-func (s *Server) admit(key string, priority int, fam scenario.Digest, hasFam bool, run func(c *call)) (*call, bool, error) {
-	s.mu.Lock()
-	if c, ok := s.calls[key]; ok {
-		c.waiters++
-		// Revive a call whose previous waiters all left before it ran:
-		// it is still scheduled, and now wanted again.
-		c.abandoned = false
-		s.mu.Unlock()
-		s.coalesced.Add(1)
-		return c, true, nil
-	}
-	c := &call{key: key, fam: fam, hasFam: hasFam, done: make(chan struct{}), waiters: 1}
-	s.calls[key] = c
-	job := func(cancelled bool) {
-		if cancelled {
-			s.finish(c, func() { c.err = errShutdown })
-			return
-		}
-		s.mu.Lock()
-		if c.abandoned {
-			// Out of the map under the lock that decided the skip, so a
-			// duplicate arriving now starts a fresh call instead of
-			// joining this one and inheriting its context.Canceled.
-			delete(s.calls, key)
-			s.mu.Unlock()
-			s.finish(c, func() { c.err = context.Canceled })
-			return
-		}
-		c.started = true
-		s.mu.Unlock()
-		s.finish(c, func() {
-			run(c)
-			if c.err != nil {
-				s.errored.Add(1)
-			}
-		})
-	}
-
-	// Warmup-family batching: the first job of a cold family goes
-	// through and produces the shared checkpoint; followers park here
-	// instead of occupying workers that would all block on the same
-	// singleflighted warmup. They flush the moment the leader finishes.
-	// A store with forking disabled reports no families, so nothing
-	// parks behind a checkpoint that will never exist.
-	if hasFam {
-		f := s.families[fam]
-		if f == nil {
-			f = &family{}
-			s.families[fam] = f
-		}
-		if f.warming && !f.ready {
-			f.pending = append(f.pending, parkedJob{priority: priority, job: job})
-			s.mu.Unlock()
-			s.parked.Add(1)
-			return c, false, nil
-		}
-		f.warming = true
-	}
-	s.mu.Unlock()
-
-	if err := s.pool.Submit(priority, job); err != nil {
-		// Complete the call with the rejection: that releases any
-		// duplicate that joined it since the unlock, and flushes the
-		// family it may lead, which would otherwise park every later
-		// member for good.
-		s.rejected.Add(1)
-		s.finish(c, func() { c.err = err })
-		return nil, false, err
-	}
-	return c, false, nil
-}
-
-// finish publishes a call's result: run the fill closure, take the
-// call out of the coalescing map unless a fresh call under its key has
-// replaced it, release waiters, and flush any jobs parked on its warmup
-// family.
-func (s *Server) finish(c *call, fill func()) {
-	fill()
-	s.mu.Lock()
-	if s.calls[c.key] == c {
-		delete(s.calls, c.key)
-	}
-	var flush []parkedJob
-	if c.hasFam {
-		if f := s.families[c.fam]; f != nil && !f.ready {
-			f.ready = true
-			flush = f.pending
-			f.pending = nil
-		}
-	}
-	s.mu.Unlock()
-	close(c.done)
-	for _, pj := range flush {
-		if err := s.pool.SubmitAdmitted(pj.priority, pj.job); err != nil {
-			// Pool closed mid-flush: complete the job as cancelled.
-			pj.job(true)
-		}
-	}
-}
-
-// leave drops one waiter from a call after its client gave up. If that
-// was the last waiter and the work has not started, the call is marked
-// abandoned so the worker can skip the simulation.
-func (s *Server) leave(c *call) {
-	s.mu.Lock()
-	c.waiters--
-	if c.waiters <= 0 && !c.started {
-		c.abandoned = true
-		s.abandoned.Add(1)
-	}
-	s.mu.Unlock()
-}
-
-// await blocks until the call completes or the request context ends.
-func (s *Server) await(ctx context.Context, c *call) error {
-	select {
-	case <-c.done:
-		return nil
-	case <-ctx.Done():
-		s.leave(c)
-		return ctx.Err()
-	}
-}
+// Close closes the gate: misses still waiting for a slot, and every
+// later one, are answered 503; running simulations finish, and Close
+// returns once they have. Stored results are still served.
+func (s *Server) Close() { s.gate.Close() }
 
 type wlEntry struct {
 	once sync.Once
@@ -405,24 +202,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	digest := spec.Digest().String()
-	fam, hasFam := s.store.WarmupFamily(spec)
-	c, joined, err := s.admit("run:"+digest, req.Priority, fam, hasFam, func(c *call) {
-		c.stats, c.err = s.store.RunStats(spec)
-	})
+	st, err := s.store.RunStats(spec)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		s.fail(w, err)
 		return
 	}
-	if err := s.await(r.Context(), c); err != nil {
-		writeError(w, statusClientGone, err)
-		return
-	}
-	if c.err != nil {
-		writeError(w, callStatus(c.err), c.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RunResponse{Stats: c.stats, Digest: digest, Coalesced: joined})
+	writeJSON(w, http.StatusOK, RunResponse{Stats: st, Digest: spec.Digest().String()})
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
@@ -443,40 +228,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	digest := mspec.Digest().String()
-	// The measure's five runs share the accelerated spec's warmup
-	// family; gate the whole job on it so a fleet-submitted sweep warms
-	// once before fanning out.
-	fam, hasFam := s.store.WarmupFamily(scenario.Spec{
-		Config:    req.Config,
-		Program:   wl.Accelerated,
-		NewDevice: wl.NewDevice,
-		DeviceKey: wl.DeviceKey,
-		MaxCycles: DefaultMaxCycles,
-	})
-	// One admitted job runs its five constituent runs serially on one
-	// worker; cross-request parallelism comes from the pool.
-	c, joined, err := s.admit("measure:"+digest, req.Priority, fam, hasFam, func(c *call) {
-		res, err := experiments.MeasureWorkloadStore(s.store, req.Config, wl, 1)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.rec = res.MeasureRecord
-	})
+	// The measure's five runs go through the store one after another on
+	// this goroutine, each taking a slot only while it simulates;
+	// cross-request parallelism comes from the gate's slots.
+	res, err := experiments.MeasureWorkloadStore(s.store, req.Config, wl, 1)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		s.fail(w, err)
 		return
 	}
-	if err := s.await(r.Context(), c); err != nil {
-		writeError(w, statusClientGone, err)
-		return
-	}
-	if c.err != nil {
-		writeError(w, callStatus(c.err), c.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MeasureResponse{Record: c.rec, Digest: digest, Coalesced: joined})
+	writeJSON(w, http.StatusOK, MeasureResponse{Record: res.MeasureRecord, Digest: mspec.Digest().String()})
 }
 
 func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
@@ -497,7 +257,8 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	digest := mspec.Digest().String()
-	// Static predictions cost microseconds — served inline, no queue.
+	// Static predictions cost microseconds and simulate nothing, so the
+	// gate never sees them.
 	pred, err := experiments.StaticPredictWorkloadStore(s.store, req.Config, wl)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
@@ -506,38 +267,46 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StaticResponse{Prediction: pred, Digest: digest})
 }
 
-// statusClientGone is reported when the client's context ended before
-// the result was ready (499 in nginx tradition; the client has usually
-// stopped listening by then anyway).
-const statusClientGone = 499
-
-// callStatus is the reply status of a call that completed with err: 503
-// when the pool refused it (a duplicate that joined a rejected call gets
-// the rejection too), 422 when its work failed.
+// callStatus is the reply status of a store call that failed with err:
+// 503 when the gate refused a simulation it needed (a duplicate that
+// joined the refused call gets the refusal too), 422 when its work
+// failed.
 func callStatus(err error) int {
-	if errors.Is(err, runner.ErrQueueFull) || errors.Is(err, runner.ErrPoolClosed) {
+	if runner.Refused(err) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusUnprocessableEntity
 }
 
-// ServerMetrics counts server-level request handling. Coalesced here
-// means "joined another client's in-flight call" — the cross-client
-// singleflight; the store's own Coalesced counters additionally cover
-// concurrent joins inside one compound job.
+// fail answers a failed store call and counts the reply.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	status := callStatus(err)
+	if status == http.StatusServiceUnavailable {
+		s.rejected.Add(1)
+	} else {
+		s.errored.Add(1)
+	}
+	writeError(w, status, err)
+}
+
+// ServerMetrics counts server-level request handling. Coalesced is the
+// store's run and measure joins on an in-flight computation — the
+// cross-client singleflight — and Parked its checkpoint joins: family
+// members that waited on another member's warmup, holding no slot.
+// Rejected counts requests answered 503, Errored those answered 422.
 type ServerMetrics struct {
 	RunRequests     int64 `json:"run_requests"`
 	MeasureRequests int64 `json:"measure_requests"`
 	StaticRequests  int64 `json:"static_requests"`
 	Coalesced       int64 `json:"coalesced"`
 	Rejected        int64 `json:"rejected"`
-	Abandoned       int64 `json:"abandoned"`
 	Parked          int64 `json:"parked"`
 	Errored         int64 `json:"errored"`
 }
 
 // MetricsSnapshot is the /metrics payload: the one scenario.Metrics
-// source of truth plus pool and server counters.
+// source of truth plus the gate's counters (under "pool") and server
+// counters.
 type MetricsSnapshot struct {
 	Store  scenario.Metrics   `json:"store"`
 	Pool   runner.PoolMetrics `json:"pool"`
@@ -546,17 +315,17 @@ type MetricsSnapshot struct {
 
 // Metrics snapshots all three layers.
 func (s *Server) Metrics() MetricsSnapshot {
+	m := s.store.Metrics()
 	return MetricsSnapshot{
-		Store: s.store.Metrics(),
-		Pool:  s.pool.Metrics(),
+		Store: m,
+		Pool:  s.gate.Metrics(),
 		Server: ServerMetrics{
 			RunRequests:     s.reqRun.Load(),
 			MeasureRequests: s.reqMeasure.Load(),
 			StaticRequests:  s.reqStatic.Load(),
-			Coalesced:       s.coalesced.Load(),
+			Coalesced:       m.RunCoalesced + m.MeasureCoalesced,
 			Rejected:        s.rejected.Load(),
-			Abandoned:       s.abandoned.Load(),
-			Parked:          s.parked.Load(),
+			Parked:          m.CkptCoalesced,
 			Errored:         s.errored.Load(),
 		},
 	}

@@ -131,10 +131,15 @@ func TestConcurrentDuplicatesCostOneSimulation(t *testing.T) {
 	if m.Store.RunMisses != 1 {
 		t.Errorf("store misses = %d, want 1 (one simulation for %d clients)", m.Store.RunMisses, n)
 	}
-	served := m.Server.Coalesced + m.Store.RunHits + m.Store.RunCoalesced
-	if served != n-1 {
-		t.Errorf("coalesced %d + hits %d + store-coalesced %d = %d, want %d duplicates served",
-			m.Server.Coalesced, m.Store.RunHits, m.Store.RunCoalesced, served, n-1)
+	// Every duplicate is served without executing: as a join if it
+	// arrived while the first run was in flight, as a memory hit
+	// otherwise. The server's coalesced count is the store's joins.
+	if served := m.Store.RunHits + m.Store.RunCoalesced; served != n-1 {
+		t.Errorf("hits %d + coalesced %d = %d, want %d duplicates served",
+			m.Store.RunHits, m.Store.RunCoalesced, served, n-1)
+	}
+	if m.Server.Coalesced != m.Store.RunCoalesced {
+		t.Errorf("server coalesced %d, want the store's %d run joins", m.Server.Coalesced, m.Store.RunCoalesced)
 	}
 }
 
@@ -223,29 +228,35 @@ func TestRepeatRequestIsHit(t *testing.T) {
 }
 
 // TestNoForkStoreNeverParks: a store with checkpoint forking disabled
-// reports no warmup families, so a burst over one family schedules
-// straight onto the pool instead of parking behind a checkpoint that
-// will never exist.
+// runs a burst over one warmup family without a warmup, so no member
+// waits on another's (parked stays 0), while a forking store warms the
+// same family.
 func TestNoForkStoreNeverParks(t *testing.T) {
 	hcfg := workload.HeapConfig{Operations: 20, FillerPerCall: 10, Prefill: 64, Seed: 1, WarmupFiller: 3_000}
 	spec := serve.WorkloadSpec{Kind: "heap", Heap: &hcfg}
-	w, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	family := scenario.Spec{
-		Config:    sim.HighPerfConfig(),
-		Program:   w.Accelerated,
-		NewDevice: w.NewDevice,
-		DeviceKey: w.DeviceKey,
-		MaxCycles: serve.DefaultMaxCycles,
+	burst := func(store *scenario.Store) serve.MetricsSnapshot {
+		srv, cl := startDaemon(t, serve.Options{Store: store, Workers: 2})
+		var wg sync.WaitGroup
+		for _, m := range accel.AllModes {
+			cfg := sim.HighPerfConfig()
+			cfg.Mode = m
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cl.Run(context.Background(), serve.RunRequest{Config: cfg, Workload: spec}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		return srv.Metrics()
 	}
 	forking, err := scenario.NewStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := forking.WarmupFamily(family); !ok {
-		t.Fatal("spec has no warmup family on a forking store; the test would prove nothing")
+	if got := burst(forking).Store.CkptWarmups; got != 1 {
+		t.Fatalf("forking store ran %d warmups for the family, want 1; the test would prove nothing", got)
 	}
 
 	store, err := scenario.NewStore("")
@@ -253,27 +264,11 @@ func TestNoForkStoreNeverParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.DisableCheckpointForking()
-	if _, ok := store.WarmupFamily(family); ok {
-		t.Error("store with forking disabled reports a warmup family")
+	m := burst(store)
+	if m.Server.Parked != 0 {
+		t.Errorf("parked = %d, want 0 with forking disabled", m.Server.Parked)
 	}
-	srv, cl := startDaemon(t, serve.Options{Store: store, Workers: 2})
-	var wg sync.WaitGroup
-	for _, m := range accel.AllModes {
-		cfg := sim.HighPerfConfig()
-		cfg.Mode = m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := cl.Run(context.Background(), serve.RunRequest{Config: cfg, Workload: spec}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := srv.Metrics().Server.Parked; got != 0 {
-		t.Errorf("parked = %d, want 0 with forking disabled", got)
-	}
-	if got := store.Metrics().CkptWarmups; got != 0 {
-		t.Errorf("ckpt warmups = %d, want 0 with forking disabled", got)
+	if m.Store.CkptWarmups != 0 {
+		t.Errorf("ckpt warmups = %d, want 0 with forking disabled", m.Store.CkptWarmups)
 	}
 }

@@ -2,18 +2,18 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/runner"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -28,171 +28,243 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
-// wedge occupies one worker with a call that blocks until the returned
-// release func runs.
-func wedge(t *testing.T, s *Server, key string) (release func()) {
+// wedge occupies the gate's slot with a job that blocks until the
+// returned release func runs or the test ends, whichever comes first,
+// so a failing test does not leave Close waiting on the wedge.
+func wedge(t *testing.T, s *Server) (release func()) {
 	t.Helper()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	c, _, err := s.admit(key, 0, scenario.Digest{}, false, func(*call) {
-		close(started)
-		<-block
-	})
-	if err != nil {
-		t.Fatal(err)
+	started, block, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.gate.Do(func() {
+			close(started)
+			<-block
+		})
+	}()
+	<-started
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(block)
+			<-done
+		})
 	}
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("wedge never started")
-	}
+	t.Cleanup(release)
+	return release
+}
+
+// saturate wedges a one-slot server's gate and fills its one-waiter
+// queue: until release (or the end of the test), every simulation the
+// store needs is refused.
+func saturate(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	unwedge := wedge(t, s)
+	filled := make(chan struct{})
+	go func() {
+		defer close(filled)
+		s.gate.Do(func() {})
+	}()
+	waitFor(t, "the filler to wait for the slot", func() bool { return s.gate.Metrics().QueueLen == 1 })
 	return func() {
-		close(block)
-		<-c.done
+		unwedge()
+		<-filled
 	}
 }
 
-// TestAdmitCoalesces: a duplicate key joins the in-flight call instead
-// of creating a second one.
+// waitFor polls cond until it holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// reachedGate reports whether any request got as far as the gate.
+func reachedGate(s *Server) bool {
+	m := s.gate.Metrics()
+	return m.Executed+m.Rejected != 0
+}
+
+// serveRuns posts each body to /v1/run concurrently and returns the
+// status codes in order; it fails the test if they do not all answer
+// within a minute.
+func serveRuns(t *testing.T, s *Server, bodies ...[]byte) []int {
+	t.Helper()
+	return servePosts(t, s, "/v1/run", bodies...)
+}
+
+// servePosts is serveRuns for any endpoint.
+func servePosts(t *testing.T, s *Server, path string, bodies ...[]byte) []int {
+	t.Helper()
+	codes := make([]int, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			codes[i] = rec.Code
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("requests still unanswered after a minute")
+	}
+	return codes
+}
+
+// familyBody is a run of a heap workload whose scalar warmup phase is
+// long enough to fork, in one integration mode: the four modes make one
+// warmup family.
+func familyBody(t *testing.T, m accel.Mode) []byte {
+	t.Helper()
+	cfg := sim.HighPerfConfig()
+	cfg.Mode = m
+	body, err := json.Marshal(RunRequest{Config: cfg, Workload: WorkloadSpec{Kind: "heap", Heap: &workload.HeapConfig{
+		Operations: 20, FillerPerCall: 10, Prefill: 64, Seed: 1, WarmupFiller: 12_000,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestAdmitCoalesces: duplicates of a miss that waits for a slot join
+// its store entry instead of queueing at the gate: with the only slot
+// busy and room for one waiter, every duplicate is answered and the
+// burst costs one simulation.
 func TestAdmitCoalesces(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	block := make(chan struct{})
-	started := make(chan struct{})
-	ran := 0
-	c1, joined1, err := s.admit("k", 0, scenario.Digest{}, false, func(*call) {
-		ran++
-		close(started)
-		<-block
-	})
-	if err != nil || joined1 {
-		t.Fatalf("leader: joined=%v err=%v", joined1, err)
-	}
-	<-started
-	c2, joined2, err := s.admit("k", 0, scenario.Digest{}, false, func(*call) { ran++ })
-	if err != nil || !joined2 {
-		t.Fatalf("duplicate: joined=%v err=%v", joined2, err)
-	}
-	if c1 != c2 {
-		t.Fatal("duplicate got a different call")
-	}
-	close(block)
-	<-c1.done
-	if ran != 1 {
-		t.Fatalf("run executed %d times, want 1", ran)
-	}
-	if got := s.coalesced.Load(); got != 1 {
-		t.Fatalf("coalesced = %d, want 1", got)
-	}
-	// The call left the map: a later identical key is a fresh call.
-	s.mu.Lock()
-	_, still := s.calls["k"]
-	s.mu.Unlock()
-	if still {
-		t.Fatal("completed call still in coalescing map")
-	}
-}
-
-// TestFamilyParking: while a warmup family's leader is in flight, a
-// second job of the same family parks outside the pool, then flushes
-// when the leader completes.
-func TestFamilyParking(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	fam := scenario.Digest{1}
-	block := make(chan struct{})
-	started := make(chan struct{})
-	c1, _, err := s.admit("lead", 0, fam, true, func(*call) {
-		close(started)
-		<-block
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	followerRan := make(chan struct{})
-	c2, joined, err := s.admit("follow", 0, fam, true, func(*call) { close(followerRan) })
-	if err != nil || joined {
-		t.Fatalf("follower: joined=%v err=%v", joined, err)
-	}
-	if got := s.parked.Load(); got != 1 {
-		t.Fatalf("parked = %d, want 1", got)
-	}
-	// Parked means not in the pool: only the leader was submitted.
-	if m := s.pool.Metrics(); m.Submitted != 1 {
-		t.Fatalf("pool submitted = %d, want 1 (follower must be parked)", m.Submitted)
-	}
-	select {
-	case <-followerRan:
-		t.Fatal("follower ran while family was still warming")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	close(block)
-	<-c1.done
-	select {
-	case <-followerRan:
-	case <-time.After(10 * time.Second):
-		t.Fatal("follower never flushed after leader completed")
-	}
-	<-c2.done
-
-	// The family is warm now: a third job schedules straight away.
-	c3, _, err := s.admit("third", 0, fam, true, func(*call) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-c3.done
-	if got := s.parked.Load(); got != 1 {
-		t.Fatalf("parked = %d after warm family, want still 1", got)
-	}
-}
-
-// TestRejectedFamilyLeaderReleasesFamily: a family leader that the full
-// queue rejects completes like any call, so it flushes its family
-// instead of leaving it warming for good: the next member schedules
-// straight away rather than parking behind a leader that never runs.
-// The rejection counts once, in rejected, and not in errored.
-func TestRejectedFamilyLeaderReleasesFamily(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
-	release := wedge(t, s, "wedge")
-	fill, _, err := s.admit("fill", 0, scenario.Digest{}, false, func(*call) {})
+	release := wedge(t, s)
+	const n = 4
+	body := testRunBody(t, 7)
+	codes := make(chan []int, 1)
+	go func() { codes <- serveRuns(t, s, body, body, body, body) }()
+	waitFor(t, "the first request to wait for the slot", func() bool { return s.gate.Metrics().QueueLen == 1 })
+	waitFor(t, "every request to arrive", func() bool { return s.reqRun.Load() == n })
+	time.Sleep(20 * time.Millisecond)
+	release()
+	for i, code := range <-codes {
+		if code != http.StatusOK {
+			t.Errorf("request %d: status %d, want 200", i, code)
+		}
+	}
+	m := s.Metrics()
+	if m.Store.RunMisses != 1 || m.Store.RunHits+m.Store.RunCoalesced != n-1 || m.Server.Rejected != 0 {
+		t.Errorf("%d misses, %d hits + %d coalesced, %d rejected; want 1, %d and 0", m.Store.RunMisses, m.Store.RunHits, m.Store.RunCoalesced, m.Server.Rejected, n-1)
+	}
+	if m.Server.Coalesced != m.Store.RunCoalesced {
+		t.Errorf("server coalesced %d, want the store's %d run joins", m.Server.Coalesced, m.Store.RunCoalesced)
+	}
+}
+
+// TestMeasureDuplicatesCoalesce: a duplicate measure that arrives while
+// the first waits for the slot joins its store entry, and the server's
+// coalesced count includes measure joins beside run joins.
+func TestMeasureDuplicatesCoalesce(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	release := wedge(t, s)
+	cfg := workload.SyntheticConfig{Units: 8, UnitLen: 12, Regions: 4, RegionLen: 30, AccelLatency: 12, Seed: 12}
+	body, err := json.Marshal(MeasureRequest{Config: sim.HighPerfConfig(), Workload: WorkloadSpec{Kind: "synthetic", Synthetic: &cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := scenario.Digest{2}
-	if _, _, err := s.admit("lead", 0, fam, true, func(*call) { t.Error("the rejected leader ran") }); !errors.Is(err, runner.ErrQueueFull) {
-		t.Fatalf("leader: err %v, want ErrQueueFull", err)
+	codes := make(chan []int, 1)
+	go func() { codes <- servePosts(t, s, "/v1/measure", body, body) }()
+	waitFor(t, "the first measure to wait for the slot", func() bool { return s.gate.Metrics().QueueLen == 1 })
+	waitFor(t, "both measures to arrive", func() bool { return s.reqMeasure.Load() == 2 })
+	time.Sleep(20 * time.Millisecond)
+	release()
+	for i, code := range <-codes {
+		if code != http.StatusOK {
+			t.Errorf("measure %d: status %d, want 200", i, code)
+		}
+	}
+	m := s.Metrics()
+	if m.Store.MeasureMisses != 1 || m.Store.MeasureCoalesced != 1 {
+		t.Errorf("%d measure misses, %d coalesced; want 1 and 1", m.Store.MeasureMisses, m.Store.MeasureCoalesced)
+	}
+	if want := m.Store.RunCoalesced + m.Store.MeasureCoalesced; m.Server.Coalesced != want {
+		t.Errorf("server coalesced %d, want the store's %d run and measure joins", m.Server.Coalesced, want)
+	}
+}
+
+// TestFamilyParking: the members of a cold warmup family, requested
+// together on a one-slot gate, run one warmup and one fork each. While
+// the first member waits for the slot, the others wait on its warmup
+// without a slot or a place in the gate queue, so nothing deadlocks.
+func TestFamilyParking(t *testing.T) {
+	n := len(accel.AllModes)
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: n})
+	release := wedge(t, s)
+	var bodies [][]byte
+	for _, m := range accel.AllModes {
+		bodies = append(bodies, familyBody(t, m))
+	}
+	codes := make(chan []int, 1)
+	go func() { codes <- serveRuns(t, s, bodies...) }()
+	waitFor(t, "a member to wait for the slot", func() bool { return s.gate.Metrics().QueueLen > 0 })
+	time.Sleep(50 * time.Millisecond)
+	if q := s.gate.Metrics().QueueLen; q != 1 {
+		t.Errorf("%d callers wait for the slot during the warmup, want 1 (the warming member)", q)
 	}
 	release()
-	<-fill.done
-
-	ran := make(chan struct{})
-	c, _, err := s.admit("next", 0, fam, true, func(*call) { close(ran) })
-	if err != nil {
-		t.Fatal(err)
+	for i, code := range <-codes {
+		if code != http.StatusOK {
+			t.Errorf("member %d: status %d, want 200", i, code)
+		}
 	}
-	if got := s.parked.Load(); got != 0 {
-		t.Fatalf("parked = %d, want 0: the family still waits on its rejected leader", got)
+	m := s.Metrics()
+	if m.Store.CkptWarmups != 1 || m.Store.CkptForks != int64(n) || m.Store.RunMisses != int64(n) {
+		t.Errorf("%d warmups, %d forks, %d run misses; want 1, %d and %d", m.Store.CkptWarmups, m.Store.CkptForks, m.Store.RunMisses, n, n)
 	}
-	select {
-	case <-ran:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the next family member never ran")
-	}
-	<-c.done
-	if r, e := s.rejected.Load(), s.errored.Load(); r != 1 || e != 0 {
-		t.Errorf("rejected = %d, errored = %d, want 1 and 0", r, e)
+	if m.Server.Parked == 0 || m.Server.Parked != m.Store.CkptCoalesced || m.Server.Rejected != 0 {
+		t.Errorf("parked %d, rejected %d; want the store's %d checkpoint joins, at least one, and 0", m.Server.Parked, m.Server.Rejected, m.Store.CkptCoalesced)
 	}
 }
 
-// TestCallStatus: a duplicate that joined a call the pool refused gets
-// the rejection as a 503, like the caller the pool refused, so a client
-// backs off and resubmits; a failure of the work itself stays a 422.
+// TestRejectedFamilyLeaderReleasesFamily: a family member refused at
+// the full gate is answered 503 and leaves nothing behind — its warmup
+// is not cached as "unforkable" — so once the gate has room the next
+// member warms the family and forks. The refusal counts once, in
+// rejected, and not in errored.
+func TestRejectedFamilyLeaderReleasesFamily(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	release := saturate(t, s)
+	if codes := serveRuns(t, s, familyBody(t, accel.LT)); codes[0] != http.StatusServiceUnavailable {
+		t.Fatalf("member on a full gate: status %d, want 503", codes[0])
+	}
+	release()
+	if codes := serveRuns(t, s, familyBody(t, accel.NLT)); codes[0] != http.StatusOK {
+		t.Fatalf("next member: status %d, want 200", codes[0])
+	}
+	m := s.Metrics()
+	if m.Store.CkptWarmups != 1 || m.Store.CkptForks != 1 || m.Store.RunMisses != 1 {
+		t.Errorf("%d warmups, %d forks, %d run misses; want 1 each", m.Store.CkptWarmups, m.Store.CkptForks, m.Store.RunMisses)
+	}
+	if m.Server.Rejected != 1 || m.Server.Errored != 0 {
+		t.Errorf("rejected = %d, errored = %d, want 1 and 0", m.Server.Rejected, m.Server.Errored)
+	}
+}
+
+// TestCallStatus: a refusal, also when a measure wraps it, is a 503, so
+// a client backs off and resubmits; a failure of the work itself stays
+// a 422.
 func TestCallStatus(t *testing.T) {
 	for err, want := range map[error]int{
-		runner.ErrQueueFull:            http.StatusServiceUnavailable,
-		runner.ErrPoolClosed:           http.StatusServiceUnavailable,
-		errors.New("simulation error"): http.StatusUnprocessableEntity,
+		runner.ErrQueueFull:                             http.StatusServiceUnavailable,
+		runner.ErrPoolClosed:                            http.StatusServiceUnavailable,
+		fmt.Errorf("baseline: %w", runner.ErrQueueFull): http.StatusServiceUnavailable,
+		errors.New("simulation error"):                  http.StatusUnprocessableEntity,
 	} {
 		if got := callStatus(err); got != want {
 			t.Errorf("callStatus(%v) = %d, want %d", err, got, want)
@@ -200,124 +272,20 @@ func TestCallStatus(t *testing.T) {
 	}
 }
 
-// TestAbandonedCallSkipsExecution: when every waiter leaves before the
-// job reaches a worker, the worker completes it without running the
-// work.
-func TestAbandonedCallSkipsExecution(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	release := wedge(t, s, "wedge")
-
-	ran := false
-	c, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.leave(c)
-	if got := s.abandoned.Load(); got != 1 {
-		t.Fatalf("abandoned = %d, want 1", got)
-	}
-	release()
-	<-c.done
-	if ran {
-		t.Fatal("abandoned call still executed")
-	}
-	if !errors.Is(c.err, context.Canceled) {
-		t.Fatalf("abandoned call err = %v, want context.Canceled", c.err)
-	}
-}
-
-// TestAbandonedCallRevivedByNewWaiter: a duplicate arriving after the
-// last waiter left (but before execution) revives the scheduled call.
-func TestAbandonedCallRevivedByNewWaiter(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	release := wedge(t, s, "wedge")
-
-	ran := false
-	c1, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.leave(c1)
-	c2, joined, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) {})
-	if err != nil || !joined || c2 != c1 {
-		t.Fatalf("revival: joined=%v err=%v same=%v", joined, err, c2 == c1)
-	}
-	release()
-	<-c1.done
-	if !ran {
-		t.Fatal("revived call did not execute")
-	}
-	if c1.err != nil {
-		t.Fatal(c1.err)
-	}
-}
-
-// TestSkippedCallNotJoined: a duplicate arriving just as the worker
-// decides to skip an abandoned call must not join it and inherit its
-// context.Canceled; it either revives the call before the decision or
-// starts a fresh one after it, and the skipped call's completion must
-// leave that fresh call in the coalescing map. Each round frees the
-// wedged worker onto an abandoned call and admits the duplicate after a
-// busy-wait that sweeps 0-20µs in 20ns steps, across the worker's
-// decision.
-func TestSkippedCallNotJoined(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	const rounds = 10000
-	cancelled, lost := 0, 0
-	for i := 0; i < rounds; i++ {
-		block, started := make(chan struct{}), make(chan struct{})
-		w, _, err := s.admit(fmt.Sprintf("wedge%d", i), 0, scenario.Digest{}, false, func(*call) {
-			close(started)
-			<-block
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-started
-		c, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.leave(c)
-		close(block)
-		for start, d := time.Now(), time.Duration(i%1000)*20*time.Nanosecond; time.Since(start) < d; {
-		}
-		// A fresh duplicate holds its worker until checked, so it is
-		// still in the map when the skipped call has completed.
-		hold := make(chan struct{})
-		dup, _, err := s.admit("x", 0, scenario.Digest{}, false, func(*call) { <-hold })
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-c.done
-		if dup != c {
-			s.mu.Lock()
-			if s.calls["x"] != dup {
-				lost++
-			}
-			s.mu.Unlock()
-		}
-		close(hold)
-		<-w.done
-		<-dup.done
-		if errors.Is(dup.err, context.Canceled) {
-			cancelled++
-		}
-	}
-	if cancelled > 0 || lost > 0 {
-		t.Errorf("of %d duplicates, %d joined a skipped call and got context.Canceled, and %d fresh calls were dropped from the map by the skipped call's completion", rounds, cancelled, lost)
-	}
-}
-
-// TestAdmitAfterClose fails cleanly.
+// TestAdmitAfterClose: after Close the gate admits no simulation, so a
+// miss is answered 503, while a stored result is still answered 200.
 func TestAdmitAfterClose(t *testing.T) {
 	s, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored := testRunBody(t, 8)
+	if codes := serveRuns(t, s, stored); codes[0] != http.StatusOK {
+		t.Fatalf("before Close: status %d, want 200", codes[0])
+	}
 	s.Close()
-	if _, _, err := s.admit("k", 0, scenario.Digest{}, false, func(*call) {}); err == nil {
-		t.Fatal("admit after Close succeeded")
+	if codes := serveRuns(t, s, stored, testRunBody(t, 9)); codes[0] != http.StatusOK || codes[1] != http.StatusServiceUnavailable {
+		t.Fatalf("after Close: stored %d, miss %d; want 200 and 503", codes[0], codes[1])
 	}
 }
 
@@ -337,15 +305,12 @@ func testRunBody(t *testing.T, seed int64) []byte {
 	return body
 }
 
-// TestRunQueueFull503: with the worker wedged and the queue at
-// capacity, a new submission is rejected with 503 — deterministically,
+// TestRunQueueFull503: with the slot busy and the wait queue full, a
+// miss is refused with 503 and a JSON error body — deterministically,
 // because nothing can drain until the wedge releases.
 func TestRunQueueFull503(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
-	release := wedge(t, s, "wedge")
-	if _, _, err := s.admit("fill", 0, scenario.Digest{}, false, func(*call) {}); err != nil {
-		t.Fatal(err)
-	}
+	saturate(t, s)
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -364,45 +329,28 @@ func TestRunQueueFull503(t *testing.T) {
 	if got := s.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
-	release()
 }
 
-// TestRunClientGone499: a request whose context ends while its job is
-// still queued gets 499 and abandons the call.
-func TestRunClientGone499(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	release := wedge(t, s, "wedge")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(testRunBody(t, 2))).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Handler().ServeHTTP(rec, req)
-	}()
-	// Wait until the request's job is queued behind the wedge, then
-	// pull the client away.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.Metrics().Submitted < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never reached the pool")
-		}
-		time.Sleep(time.Millisecond)
+// TestStoredResultServedWhileGateFull: a stored result takes no slot,
+// so it is answered while every slot is busy and the wait queue is full;
+// only the miss beside it is refused.
+func TestStoredResultServedWhileGateFull(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	stored := testRunBody(t, 10)
+	if codes := serveRuns(t, s, stored); codes[0] != http.StatusOK {
+		t.Fatalf("first request: status %d, want 200", codes[0])
 	}
-	cancel()
-	<-done
-	if rec.Code != statusClientGone {
-		t.Fatalf("status %d, want %d", rec.Code, statusClientGone)
+	saturate(t, s)
+	if codes := serveRuns(t, s, stored, testRunBody(t, 11)); codes[0] != http.StatusOK || codes[1] != http.StatusServiceUnavailable {
+		t.Fatalf("on a full gate: stored %d, miss %d; want 200 and 503", codes[0], codes[1])
 	}
-	if got := s.abandoned.Load(); got != 1 {
-		t.Fatalf("abandoned = %d, want 1", got)
+	if m := s.Metrics(); m.Store.RunHits != 1 || m.Store.RunMisses != 1 || m.Server.Rejected != 1 {
+		t.Errorf("%d hits, %d misses, %d rejected; want 1 each", m.Store.RunHits, m.Store.RunMisses, m.Server.Rejected)
 	}
-	release()
 }
 
 // TestDecodeValidation: the handlers reject malformed requests with
-// 400s and wrong methods with 405, before any scheduling.
+// 400s and wrong methods with 405, before any simulation.
 func TestDecodeValidation(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -444,13 +392,13 @@ func TestDecodeValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run: %d, want 405", resp.StatusCode)
 	}
-	if s.pool.Metrics().Submitted != 0 {
-		t.Error("invalid requests reached the pool")
+	if reachedGate(s) {
+		t.Error("invalid requests reached the gate")
 	}
 }
 
 // TestOversizeBody413: a body over maxRequestBytes is refused with 413
-// and the usual JSON error before any scheduling, and the daemon goes
+// and the usual JSON error before any simulation, and the daemon goes
 // on serving: the next normal request succeeds.
 func TestOversizeBody413(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
@@ -479,8 +427,8 @@ func TestOversizeBody413(t *testing.T) {
 	if decErr != nil || er.Error == "" {
 		t.Errorf("413 body: %q err %v", er.Error, decErr)
 	}
-	if s.pool.Metrics().Submitted != 0 {
-		t.Error("an oversize request reached the pool")
+	if reachedGate(s) {
+		t.Error("an oversize request reached the gate")
 	}
 
 	resp, err = http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(testRunBody(t, 4)))

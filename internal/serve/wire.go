@@ -1,11 +1,14 @@
 // Package serve is the simulation-as-a-service layer: a long-running
 // HTTP/JSON daemon (cmd/scenariod) that accepts scenario submissions
-// from many clients, coalesces duplicate in-flight work across them,
-// batches compatible jobs onto a shared runner.Pool behind a bounded
-// admission queue, and serves everything out of one warm
-// scenario.Store — so a sweep submitted by a fleet of clients costs
-// one warmup, one simulation per distinct point, and cache reads for
-// everyone else.
+// from many clients and serves everything out of one warm
+// scenario.Store. Each request calls the store on its own goroutine;
+// the store coalesces duplicate in-flight work across clients, lets a
+// warmup family's members share one warm checkpoint, and runs every
+// simulation under a runner.Gate — a fixed number of slots with a
+// bounded wait queue, whose refusal is answered 503 — so a sweep
+// submitted by a fleet of clients costs one warmup, one simulation per
+// distinct point, and cache reads for everyone else. A stored result
+// takes no slot and is answered however busy the slots are.
 //
 // The wire protocol does not ship programs or device closures. A
 // request names a workload *generator* and its configuration
@@ -46,19 +49,13 @@ type RunRequest struct {
 	Program string `json:"program,omitempty"`
 	// MaxCycles bounds the run; zero selects DefaultMaxCycles.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Priority orders admission: higher values run first, FIFO within
-	// one value. Zero is the default class.
-	Priority int `json:"priority,omitempty"`
 }
 
 // RunResponse carries the run's Stats. Digest is the scenario content
-// address the result is cached under, set on every response;
-// Coalesced reports that this request joined an execution or queue
-// entry another client started.
+// address the result is cached under, set on every response.
 type RunResponse struct {
-	Stats     sim.Stats `json:"stats"`
-	Digest    string    `json:"digest,omitempty"`
-	Coalesced bool      `json:"coalesced,omitempty"`
+	Stats  sim.Stats `json:"stats"`
+	Digest string    `json:"digest,omitempty"`
 }
 
 // MeasureRequest submits one full measure-workload evaluation —
@@ -69,19 +66,16 @@ type RunResponse struct {
 type MeasureRequest struct {
 	Config   sim.Config   `json:"config"`
 	Workload WorkloadSpec `json:"workload"`
-	Priority int          `json:"priority,omitempty"`
 }
 
 // MeasureResponse carries the measurement record.
 type MeasureResponse struct {
-	Record    scenario.MeasureRecord `json:"record"`
-	Digest    string                 `json:"digest,omitempty"`
-	Coalesced bool                   `json:"coalesced,omitempty"`
+	Record scenario.MeasureRecord `json:"record"`
+	Digest string                 `json:"digest,omitempty"`
 }
 
 // StaticRequest asks for an analytical fast-path prediction — no cycle
-// simulation. Served inline (microseconds), bypassing the admission
-// queue.
+// simulation, so it takes no gate slot.
 type StaticRequest struct {
 	Config   sim.Config   `json:"config"`
 	Workload WorkloadSpec `json:"workload"`

@@ -38,7 +38,7 @@ func postRun(t *testing.T, url string, req RunRequest) (int, string) {
 
 // TestWireKindConfigRequired: every wire kind names exactly one config
 // field; a spec that selects a kind but omits its config is rejected
-// with 400 and an error naming the kind, before any scheduling.
+// with 400 and an error naming the kind, before any simulation.
 func TestWireKindConfigRequired(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -64,8 +64,8 @@ func TestWireKindConfigRequired(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(msg, `unknown workload kind "warp-drive"`) {
 		t.Errorf("unknown kind: status %d, error %q", code, msg)
 	}
-	if s.pool.Metrics().Submitted != 0 {
-		t.Error("rejected specs reached the pool")
+	if reachedGate(s) {
+		t.Error("rejected specs reached the gate")
 	}
 }
 
@@ -92,8 +92,8 @@ func TestWireStrayConfigRejected(t *testing.T) {
 	if want := `stray "matmul" config`; !strings.Contains(msg, want) {
 		t.Errorf("error %q does not name the stray field (%q)", msg, want)
 	}
-	if s.pool.Metrics().Submitted != 0 {
-		t.Error("rejected spec reached the pool")
+	if reachedGate(s) {
+		t.Error("rejected spec reached the gate")
 	}
 }
 

@@ -87,36 +87,3 @@ func TestDefaultSpecMeasureDigests(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmupFamilyDigest pins the warmup-family digest of a heap
-// workload with a scalar warmup phase. The store keys checkpoint blobs
-// on it, so a move here orphans every cached warm checkpoint.
-func TestWarmupFamilyDigest(t *testing.T) {
-	const want = "ba483d486c7ed8d912c5db229496292f7b0637cd92d1a3c020163facedbb4f04"
-	w, err := workload.Heap(workload.HeapConfig{
-		Operations: 40, FillerPerCall: 10, Prefill: 512, Seed: 1, WarmupFiller: 4000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := scenario.NewStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.HighPerfConfig()
-	cfg.Mode = accel.LT
-	run := scenario.Spec{
-		Config:    cfg,
-		Program:   w.Accelerated,
-		NewDevice: w.NewDevice,
-		DeviceKey: w.DeviceKey,
-		MaxCycles: 4_000_000_000,
-	}
-	d, ok := store.WarmupFamily(run)
-	if !ok {
-		t.Fatal("heap spec with a warmup phase does not fork")
-	}
-	if got := d.String(); got != want {
-		t.Errorf("warmup-family digest %s, want %s", got, want)
-	}
-}
